@@ -543,13 +543,13 @@ def _cmd_present_verify(args) -> CommandResult:
 
 
 def _cmd_lab_count(args) -> CommandResult:
-    report = level_group_report(args.n, args.k, workers=args.workers)
+    report = level_group_report(args.n, args.k)
     notes = (report.notes,) if report.notes else ()
     return CommandResult("ok", report.to_json(), notes)
 
 
 def _cmd_lab_centralizer(args) -> CommandResult:
-    group = enumerate_level_group(args.n, args.k, workers=args.workers)
+    group = enumerate_level_group(args.n, args.k)
     sub = centralizer(_shift_element(args.n, args.k, args.m), group)
     return CommandResult(
         "ok",
@@ -736,13 +736,11 @@ def _build_parser() -> _Parser:
     sub = verbs.add_parser("count-hk", parents=[shared])
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1)
     sub.set_defaults(handler=_cmd_lab_count)
     sub = verbs.add_parser("centralizer", parents=[shared])
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1)
     sub.set_defaults(handler=_cmd_lab_centralizer)
     sub = verbs.add_parser("trans-search", parents=[shared])
     sub.add_argument("--n", type=int, required=True)

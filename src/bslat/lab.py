@@ -4,14 +4,12 @@ Everything here treats exhaustive enumeration as ground truth and the
 closed-form counts as claims to be displayed next to it.  A depth-k cone
 automorphism is determined by its top-level permutation (the lower levels
 are reductions mod n**i), so the hot loops work on byte-encoded top
-permutations and convert back to LevelPermAutomorphism at the boundary.
+permutations, composed with bytes.translate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,13 +35,13 @@ from .tree import (
     BallAffineMap,
     LevelPermAutomorphism,
     TreeVertex,
+    enumerate_cone_automorphisms,
     is_transitive_on_up,
     levelwise_translation,
 )
 
 SIZE_CAP = 10**6
 TOP_CAP = 64
-CLOSURE_PAIR_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -85,11 +83,37 @@ def _top_of(g: LevelPermAutomorphism) -> bytes:
     return bytes(g.perms[-1])
 
 
-def _from_top(n: int, k: int, top) -> LevelPermAutomorphism:
-    perms = tuple(
-        tuple(top[y] % n**i for y in range(n**i)) for i in range(1, k + 1)
-    )
-    return LevelPermAutomorphism(n, perms)
+def _padded(top: bytes) -> bytes:
+    """top as a bytes.translate table: f.translate(_padded(g)) is g after f."""
+    return top + bytes(range(len(top), 256))
+
+
+def _generated(gens, within=None) -> set[bytes]:
+    """The elements of the group generated by the tops gens, by a
+    breadth-first search from the identity.
+
+    With ``within``, every product found must lie in that set; the first
+    one outside it raises InvalidParams.
+    """
+    tables = [_padded(g) for g in gens]
+    members = {bytes(range(len(gens[0])))}
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for table in tables:
+                prod = f.translate(table)
+                if prod not in members:
+                    if within is not None and prod not in within:
+                        raise InvalidParams(
+                            "not closed under composition: "
+                            f"{list(table[:len(f)])} after {list(f)} "
+                            "leaves the set"
+                        )
+                    members.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return members
 
 
 def _invert_top(top: bytes) -> bytes:
@@ -106,8 +130,8 @@ class LevelPermGroup:
     Elements are kept sorted by their permutation tables so equal groups
     compare equal and reports are deterministic.  Construction checks the
     cheap invariants (sorted, duplicate-free, identity and all inverses
-    present); composition closure is verified by verify_closure, which the
-    enumerator always runs.
+    present); composition closure is certified exhaustively by
+    verify_closure, which the enumerator and centralizer always run.
     """
 
     n: int
@@ -152,30 +176,29 @@ class LevelPermGroup:
         return any(g == member for member in self.elements)
 
     def verify_closure(self) -> int:
-        """Check composition closure on element pairs; returns the number
-        of pairs checked.
+        """Certify composition closure from a generating set; returns the
+        number of compositions checked.
 
-        All pairs when the square count fits the budget, otherwise a
-        deterministic stride sample of rows against all columns.
+        Elements not yet generated join the generating set S in order, and
+        each <S> is grown inside the element set, so a product outside it
+        raises.  Ending with |<S>| = |H| proves H is the group <S>.  Each
+        new generator at least doubles <S>, so |S| <= log2 |H| and the
+        whole check costs O(|H| * |S|) compositions.
         """
-        tops = [_top_of(g) for g in self.elements]
-        table = set(tops)
-        count = len(tops)
-        if count * count <= CLOSURE_PAIR_BUDGET:
-            rows = range(count)
-        else:
-            stride = max(1, count * count // CLOSURE_PAIR_BUDGET)
-            rows = range(0, count, stride)
+        tops = {_top_of(g) for g in self.elements}
+        gens = []
+        reached = {bytes(range(self.n**self.k))}
         checked = 0
-        for i in rows:
-            f = tops[i]
-            for g in tops:
-                if bytes(f[b] for b in g) not in table:
-                    raise InvalidParams(
-                        "not closed under composition at pair "
-                        f"({self.elements[i].to_lists()}, ...)"
-                    )
-                checked += 1
+        for g in self.elements:
+            top = _top_of(g)
+            if top not in reached:
+                gens.append(top)
+                reached = _generated(gens, within=tops)
+                checked += len(reached) * len(gens)
+        if len(reached) != len(tops):
+            raise InvalidParams(
+                f"generated {len(reached)} of {len(tops)} elements"
+            )
         return checked
 
 
@@ -193,56 +216,15 @@ def _feasibility_guard(n: int, k: int):
         )
 
 
-def _refine_tops(n: int, tops: list[tuple], size: int) -> list[tuple]:
-    """One level of refinement: an independent digit permutation above
-    each of the ``size`` current vertices."""
-    digit_perms = sorted(itertools.permutations(range(n)))
-    out = []
-    for top in tops:
-        for assignment in itertools.product(digit_perms, repeat=size):
-            fine = [0] * (n * size)
-            for y in range(size):
-                base_image = top[y]
-                for digit, image in enumerate(assignment[y]):
-                    fine[y + size * digit] = base_image + size * image
-            out.append(tuple(fine))
-    return out
-
-
-def enumerate_level_group(n: int, k: int, workers: int = 1) -> LevelPermGroup:
+def enumerate_level_group(n: int, k: int) -> LevelPermGroup:
     """Exhaustive enumeration of the depth-k cone automorphism group.
 
-    Level by level, each element of depth i extends by an independent
-    digit permutation above each level-i vertex.  With several workers the
-    level-1 choices are split into chunks; the canonical final sort makes
-    the result identical for every worker count.
+    The elements come from tree.enumerate_cone_automorphisms (an
+    independent digit permutation above each vertex, level by level); the
+    group sorts them canonically and its closure is certified exhaustively.
     """
-    if workers < 1:
-        raise InvalidParams("workers must be >= 1")
     _feasibility_guard(n, k)
-    seeds = _refine_tops(n, [(0,)], 1)
-    if k == 1:
-        tops = seeds
-    elif workers == 1:
-        tops = seeds
-        for level in range(1, k):
-            tops = _refine_tops(n, tops, n**level)
-    else:
-        chunk_count = min(workers, len(seeds))
-        chunks = [seeds[i::chunk_count] for i in range(chunk_count)]
-
-        def grow(chunk):
-            for level in range(1, k):
-                chunk = _refine_tops(n, chunk, n**level)
-            return chunk
-
-        with ThreadPoolExecutor(max_workers=chunk_count) as pool:
-            tops = [
-                top for part in pool.map(grow, chunks) for top in part
-            ]
-    group = LevelPermGroup(
-        n, k, tuple(_from_top(n, k, top) for top in tops)
-    )
+    group = LevelPermGroup(n, k, tuple(enumerate_cone_automorphisms(n, k)))
     group.verify_closure()
     return group
 
@@ -265,9 +247,9 @@ def level_group_order_recursive(n: int, k: int) -> int:
     return order
 
 
-def level_group_report(n: int, k: int, workers: int = 1) -> LemmaReport:
+def level_group_report(n: int, k: int) -> LemmaReport:
     """Enumerated group order against the claimed closed form."""
-    brute = len(enumerate_level_group(n, k, workers=workers))
+    brute = len(enumerate_level_group(n, k))
     recursive = level_group_order_recursive(n, k)
     return LemmaReport.of(
         lemma="level-group-order",
@@ -291,10 +273,11 @@ def centralizer(
     pivot = _top_of(g)
     if pivot not in {_top_of(member) for member in group}:
         raise NotMember("element outside the group")
+    table = _padded(pivot)
     kept = []
     for member in group:
         top = _top_of(member)
-        if bytes(top[b] for b in pivot) == bytes(pivot[b] for b in top):
+        if pivot.translate(_padded(top)) == top.translate(table):
             kept.append(member)
     result = LevelPermGroup(group.n, group.k, tuple(kept))
     result.verify_closure()
@@ -474,22 +457,10 @@ def _abelian_search_order(tops: list[bytes]) -> int | None:
     if count > 200:
         return None
 
-    def commutes(f, g):
-        return bytes(f[b] for b in g) == bytes(g[b] for b in f)
+    tables = {f: _padded(f) for f in tops}
 
-    def closure(gens):
-        members = {bytes(range(len(tops[0])))}
-        frontier = list(members)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    prod = bytes(g[b] for b in f)
-                    if prod not in members:
-                        members.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return members
+    def commutes(f, g):
+        return g.translate(tables[f]) == f.translate(tables[g])
 
     best = 1
     pairs = [
@@ -499,12 +470,12 @@ def _abelian_search_order(tops: list[bytes]) -> int | None:
         if commutes(f, g)
     ]
     for f, g in pairs:
-        best = max(best, len(closure((f, g))))
+        best = max(best, len(_generated((f, g))))
     if count**3 <= 2 * SIZE_CAP:
         for f, g in pairs:
             for h in tops:
                 if commutes(f, h) and commutes(g, h):
-                    best = max(best, len(closure((f, g, h))))
+                    best = max(best, len(_generated((f, g, h))))
     return best
 
 

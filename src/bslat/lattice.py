@@ -268,7 +268,11 @@ def classify(spec: EmbeddingSpec) -> EmbeddingClass:
             f"classifier self-check failed: formula {(h0, k, j)}, "
             f"search {searched}"
         )
-    assert m * j == n ** (l * k)
+    if m * j != n ** (l * k):
+        raise AssertionError(
+            f"classifier self-check failed: m * j = {m * j}, "
+            f"n**(l*k) = {n ** (l * k)}"
+        )
     s = translation_distance(spec.imgA) / (m * Fraction(n) ** h0)
     return EmbeddingClass(
         s=s, m=m, h0=h0, j=j, k=k,
@@ -470,7 +474,12 @@ def flip_commutator_exponent(case: PresentationCase) -> int:
         or y.denominator != 1
     ):
         raise AssertionError("flip relation did not reduce to a power of a")
-    assert product == a.power(int(y))
+    expected = a.power(int(y))
+    if product != expected:
+        raise AssertionError(
+            f"flip relation self-check failed: product {product}, "
+            f"a^{int(y)} = {expected}"
+        )
     return int(y)
 
 

@@ -246,7 +246,11 @@ class BallAffineMap:
         """
         if self.h == 0:
             raise NotHyperbolic("height change is zero, no translation axis")
-        assert self.u != 1
+        if self.u == 1:
+            raise AssertionError(
+                f"hyperbolic self-check failed: height change {self.h}, "
+                f"multiplier u = {self.u}"
+            )
         return self.beta / (1 - self.u)
 
     def __str__(self):
@@ -670,7 +674,8 @@ def subtree_dot(
 def enumerate_cone_automorphisms(n: int, depth: int):
     """All LevelPermAutomorphisms of the given depth, in lexicographic order.
 
-    Feasible only for tiny n**depth; used by brute-force certifications.
+    Feasible only for tiny n**depth; the one enumerator behind the lab's
+    brute-force groups and certifications.
     """
     digit_perms = sorted(itertools.permutations(range(n)))
 

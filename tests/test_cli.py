@@ -516,6 +516,16 @@ class TestHarness:
         assert code == 2
         assert "--k" in err
 
+    def test_removed_workers_flag_is_a_parse_error(self, capsys):
+        code, out, err = run(
+            ["lab", "count-hk", "--n", "2", "--k", "3", "--workers", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--workers" in err
+        assert "Traceback" not in err
+
     CORPUS = [
         ["bs", "normalize", "--N", "2", "b^-1 a^5 b^2"],
         ["tree", "orbit", "--n", "3", "--beta", "2", "--vertex", "0:0", "--depth", "2"],
@@ -524,6 +534,7 @@ class TestHarness:
         ["present", "verify", "--case", "2", "--n", "3", "--l", "2"],
         ["lab", "count-hk", "--n", "3", "--k", "2"],
         ["lab", "jordan-index", "--n", "2", "--k", "3", "--m", "1", "--m", "2"],
+        ["lab", "centralizer", "--n", "2", "--k", "3", "--m", "1"],
     ]
 
     def test_corpus_byte_identical_across_runs(self, capsys):
@@ -532,11 +543,3 @@ class TestHarness:
             second = run(argv + ["--json"], capsys)
             assert first == second, argv
 
-    def test_worker_count_does_not_change_output(self, capsys):
-        for argv in (
-            ["lab", "count-hk", "--n", "3", "--k", "2", "--json"],
-            ["lab", "centralizer", "--n", "2", "--k", "3", "--m", "1", "--json"],
-        ):
-            alone = run(argv + ["--workers", "1"], capsys)
-            pooled = run(argv + ["--workers", "4"], capsys)
-            assert alone == pooled, argv

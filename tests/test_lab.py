@@ -80,12 +80,11 @@ class TestEnumeration:
             for g in elements:
                 assert f.compose(g) in group
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         one = enumerate_level_group(2, 3)
         again = enumerate_level_group(2, 3)
-        shared = enumerate_level_group(2, 3, workers=3)
         assert [g.to_lists() for g in one] == [g.to_lists() for g in again]
-        assert one == shared
+        assert one == again
 
     def test_formula_values(self):
         assert level_group_order_formula(2, 2) == 8
@@ -107,8 +106,6 @@ class TestEnumeration:
             enumerate_level_group(3, 3)
         with pytest.raises(InvalidParams):
             enumerate_level_group(2, 0)
-        with pytest.raises(InvalidParams):
-            enumerate_level_group(2, 2, workers=0)
 
     def test_group_type_validation(self):
         group = enumerate_level_group(2, 1)
@@ -122,8 +119,38 @@ class TestEnumeration:
             LevelPermGroup(2, 2, tuple(group))  # depth mismatch
 
     def test_verify_closure_counts_pairs(self):
+        # the generating set grows 1 -> 2 -> 3 as <S> doubles 2 -> 4 -> 8,
+        # and each <S> is grown with |<S>| * |S| compositions
         group = enumerate_level_group(2, 2)
-        assert group.verify_closure() == 64
+        assert group.verify_closure() == 2 * 1 + 4 * 2 + 8 * 3
+
+    def test_verify_closure_rejects_exactly_the_unclosed_subsets(self):
+        # every subset of G_2 at n = 2 holding the identity and its inverses:
+        # the certificate must reject exactly those that the all-pairs
+        # compose check finds a product outside of
+        elements = list(enumerate_level_group(2, 2))
+        identity = LevelPermAutomorphism.identity(2, 2)
+        others = [g for g in elements if g != identity]
+        rejected = accepted = 0
+        for mask in range(2 ** len(others)):
+            subset = [identity] + [
+                g for i, g in enumerate(others) if mask >> i & 1
+            ]
+            if any(g.inverse() not in subset for g in subset):
+                continue
+            closed = all(
+                f.compose(g) in subset for f in subset for g in subset
+            )
+            group = LevelPermGroup(2, 2, tuple(subset))
+            if closed:
+                group.verify_closure()
+                accepted += 1
+            else:
+                with pytest.raises(InvalidParams):
+                    group.verify_closure()
+                rejected += 1
+        # G_2 at n = 2 is the dihedral group of order 8: 10 subgroups
+        assert (accepted, rejected) == (10, 54)
 
 
 class TestCentralizer:
