@@ -15,6 +15,7 @@ reason, never a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -192,6 +193,15 @@ def _obtain_spec(args) -> EmbeddingSpec:
     return standard_embedding(args.n, args.l, args.s, args.m)
 
 
+def _check_printable(n: int, h: int):
+    """Refuse height h when its centers (their denominators, at h < 0) can
+    reach n**|h| >= 10**limit, past the digits Python converts to text."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # 2**|h| > 10**limit once |h| > 4 * limit: skip the big power
+    if limit and (abs(h) > 4 * limit or n ** abs(h) >= 10**limit):
+        raise TooLarge(f"centers at height {h} can exceed {limit} digits")
+
+
 def _parse_vertex(n: int, text: str) -> TreeVertex:
     head, sep, tail = text.partition(":")
     if not sep:
@@ -202,6 +212,7 @@ def _parse_vertex(n: int, text: str) -> TreeVertex:
         raise ParseError(
             f"vertex height {head!r} is not an integer"
         ) from None
+    _check_printable(n, height)
     return TreeVertex.of(n, height, parse_rational(tail))
 
 
@@ -273,6 +284,7 @@ def _normal_form_record(form) -> dict:
 
 def _cmd_tree_act(args) -> CommandResult:
     vertex = _parse_vertex(args.n, args.vertex)
+    _check_printable(args.n, vertex.h + args.power * args.height)
     image = act_power(_tree_map(args), args.power, vertex)
     return CommandResult(
         "ok",
@@ -328,6 +340,7 @@ def _cmd_tree_orbit(args) -> CommandResult:
 
 def _cmd_tree_axis(args) -> CommandResult:
     map_ = _tree_map(args)
+    _check_printable(args.n, args.at_height)
     vertex = axis_vertex(map_, args.at_height)
     fixed = map_.hyperbolic_fixed_point()
     if args.dot:
@@ -594,6 +607,7 @@ def _cmd_lab_jordan(args) -> CommandResult:
 # ---------------------------------------------------------------- wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(

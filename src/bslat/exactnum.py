@@ -16,7 +16,6 @@ is NOT itself additive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -378,8 +377,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x) -> str:
     """Render as 'p/q', or 'p' when the denominator is 1."""
     return str(Fraction(x))
-
-
-def floor_div(x, y) -> int:
-    """Exact floor of the rational quotient x / y."""
-    return math.floor(Fraction(x) / Fraction(y))

@@ -196,9 +196,6 @@ def translation_distance(f: ArithmeticIsometry) -> Fraction:
     return f.alpha
 
 
-td = translation_distance
-
-
 def decompose(f: ArithmeticIsometry):
     """Split f = real_translation(alpha) o pure tree action.
 

@@ -88,20 +88,19 @@ def _padded(top: bytes) -> bytes:
     return top + bytes(range(len(top), 256))
 
 
-def _generated(gens, within=None) -> set[bytes]:
-    """The elements of the group generated by the tops gens, by a
-    breadth-first search from the identity.
-
-    With ``within``, every product found must lie in that set; the first
-    one outside it raises InvalidParams.
+def _adjoin(members, tables, tops, within=None) -> int:
+    """Grow the group ``members`` generated by ``tables`` in place by the
+    generators ``tops``, going on from the members reached; returns the
+    compositions made.  A product outside ``within`` raises InvalidParams.
     """
-    tables = [_padded(g) for g in gens]
-    members = {bytes(range(len(gens[0])))}
-    frontier = list(members)
+    pending = [_padded(top) for top in tops]
+    tables += pending
+    frontier, checked = list(members), 0
     while frontier:
+        checked += len(frontier) * len(pending)
         nxt = []
         for f in frontier:
-            for table in tables:
+            for table in pending:
                 prod = f.translate(table)
                 if prod not in members:
                     if within is not None and prod not in within:
@@ -112,7 +111,14 @@ def _generated(gens, within=None) -> set[bytes]:
                         )
                     members.add(prod)
                     nxt.append(prod)
-        frontier = nxt
+        frontier, pending = nxt, tables
+    return checked
+
+
+def _generated(gens) -> set[bytes]:
+    """The elements of the group generated by the tops gens."""
+    members = {bytes(range(len(gens[0])))}
+    _adjoin(members, [], gens)
     return members
 
 
@@ -180,21 +186,18 @@ class LevelPermGroup:
         number of compositions checked.
 
         Elements not yet generated join the generating set S in order, and
-        each <S> is grown inside the element set, so a product outside it
-        raises.  Ending with |<S>| = |H| proves H is the group <S>.  Each
-        new generator at least doubles <S>, so |S| <= log2 |H| and the
-        whole check costs O(|H| * |S|) compositions.
+        <S> grows by each of them inside the element set, so a product
+        outside it raises.  Ending with |<S>| = |H| proves H is the group
+        <S>.  Each new generator at least doubles <S>, so |S| <= log2 |H|
+        and the whole check costs O(|H| * |S|) compositions.
         """
         tops = {_top_of(g) for g in self.elements}
-        gens = []
-        reached = {bytes(range(self.n**self.k))}
+        reached, tables = {bytes(range(self.n**self.k))}, []
         checked = 0
         for g in self.elements:
             top = _top_of(g)
             if top not in reached:
-                gens.append(top)
-                reached = _generated(gens, within=tops)
-                checked += len(reached) * len(gens)
+                checked += _adjoin(reached, tables, [top], within=tops)
         if len(reached) != len(tops):
             raise InvalidParams(
                 f"generated {len(reached)} of {len(tops)} elements"

@@ -292,21 +292,13 @@ def fixes(map_: BallAffineMap, v: TreeVertex) -> bool:
     return in_ball((map_.u - 1) * v.c + map_.beta, v.h, v.n)
 
 
-def axis_vertex(
-    map_: BallAffineMap, at_height: int, precision: int | None = None
-) -> TreeVertex:
+def axis_vertex(map_: BallAffineMap, at_height: int) -> TreeVertex:
     """The height-j vertex on the translation axis of a hyperbolic map.
 
     The axis is the coherent line through the fixed point x* of x -> u*x +
     beta; the vertex at height j is the ball of that height containing x*.
-    ``precision`` is accepted for callers that budget n-adic digits; it must
-    cover at_height + |h| but does not affect the exact result.
     """
     x_star = map_.hyperbolic_fixed_point()
-    if precision is not None and precision < at_height + abs(map_.h):
-        raise InvalidParams(
-            f"precision {precision} < {at_height} + |{map_.h}|"
-        )
     return TreeVertex(
         map_.n, at_height, nadic_residue(x_star, at_height, map_.n)
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bslat import cli
 from bslat.cli import main
 from bslat.lattice import standard_embedding
 
@@ -160,6 +161,35 @@ class TestTreeVerbs:
         )
         assert code == 0
         assert target.read_text().startswith("digraph tree {")
+
+    MAP = ["--n", "2", "--height", "1", "--unit", "2", "--beta", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, height",
+        [
+            (["tree", "act", *MAP, "--vertex", "0:0", "--power", "14500"],
+             14500),
+            (["tree", "axis", *MAP, "--at-height", "15000"], 15000),
+            (["tree", "axis", *MAP, "--at-height", "14285"], 14285),
+            (["tree", "act", "--n", "2", "--height", "-1", "--unit", "1/2",
+              "--vertex", "0:0", "--power", "15000"], -15000),
+            (["tree", "orbit", "--n", "2", "--vertex", "20000:-1"], 20000),
+        ],
+    )
+    def test_height_past_the_printable_digits(self, argv, height, capsys):
+        # centers below 2**h need more than Python's 4300 default digits
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: centers at height {height} can exceed 4300 digits\n"
+
+    def test_height_at_the_printable_digits(self, capsys):
+        # 2**14284 - 1 has exactly 4300 digits
+        code, record, _ = run_json(
+            ["tree", "axis", *self.MAP, "--at-height", "14284"], capsys
+        )
+        assert code == 0
+        assert record["payload"]["vertex"]["c"] == str(2**14284 - 1)
 
     def test_axis_of_elliptic_map_fails(self, capsys):
         code, _, err = run(
@@ -525,6 +555,29 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error: ") and "--workers" in err
         assert "Traceback" not in err
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    # append, a mutually exclusive group, a parse error and --help, in one
+    # process on the one parser
+    SEQUENCE = [
+        ["lab", "jordan-index", "--n", "2", "--k", "2", "--m", "1", "--m", "3"],
+        ["lab", "jordan-index", "--n", "2", "--k", "2", "--m", "2"],
+        ["tree", "aeta", "--n", "2", "--eta", "3"],
+        ["tree", "aeta", "--n", "2", "--perms", "[[1,0]]"],
+        ["lab", "count-hk", "--n", "2"],
+        ["--help"],
+        ["bs", "normalize", "--N", "2", "b^-1 a b"],
+    ]
+
+    def test_reused_parser_keeps_no_state_between_commands(self, capsys):
+        in_sequence = [run(argv, capsys) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in in_sequence] == [0, 0, 0, 0, 2, 0, 0]
+        assert "m = [2]\n" in in_sequence[1][1]
+        for argv, seen in zip(self.SEQUENCE, in_sequence):
+            cli._build_parser.cache_clear()
+            assert run(argv, capsys) == seen, argv
 
     CORPUS = [
         ["bs", "normalize", "--N", "2", "b^-1 a^5 b^2"],

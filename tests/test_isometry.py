@@ -14,7 +14,6 @@ from bslat.isometry import (
     apply_automorphism,
     classify_type,
     decompose,
-    td,
     translation_distance,
 )
 from bslat.tree import BallAffineMap
@@ -168,27 +167,27 @@ class TestTranslationDistance:
 
     def test_conjugation_by_scaling_doubles(self):
         a, b = unit_pair(2)
-        assert td(a.conjugated_by(b)) == 2
+        assert translation_distance(a.conjugated_by(b)) == 2
 
     def test_identity_has_zero(self):
-        assert td(ArithmeticIsometry.identity(2)) == 0
+        assert translation_distance(ArithmeticIsometry.identity(2)) == 0
 
     def test_rejects_hyperbolic_and_reversing(self):
         _, b = unit_pair(2)
         with pytest.raises(NotElliptic):
-            td(b)
+            translation_distance(b)
         c = ArithmeticIsometry(
             2, -1, 0, Fraction(1), BallAffineMap(2, 0, Fraction(-1), Fraction(1))
         )
         with pytest.raises(NotElliptic):
-            td(c)
+            translation_distance(c)
 
     @given(isometries(eps=1, elliptic=True), isometries())
     def test_equivariance(self, f, g):
         if g.n != f.n:
             return
-        expected = g.eps * Fraction(f.n) ** g.h * td(f)
-        assert td(f.conjugated_by(g)) == expected
+        expected = g.eps * Fraction(f.n) ** g.h * translation_distance(f)
+        assert translation_distance(f.conjugated_by(g)) == expected
 
 
 class TestDecompose:

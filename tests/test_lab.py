@@ -119,10 +119,13 @@ class TestEnumeration:
             LevelPermGroup(2, 2, tuple(group))  # depth mismatch
 
     def test_verify_closure_counts_pairs(self):
-        # the generating set grows 1 -> 2 -> 3 as <S> doubles 2 -> 4 -> 8,
-        # and each <S> is grown with |<S>| * |S| compositions
+        # the generating set grows 1 -> 2 -> 3 as <S> doubles 1 -> 2 -> 4
+        # -> 8; each step multiplies the old members by the new generator
+        # and each new member by all |S| generators
         group = enumerate_level_group(2, 2)
-        assert group.verify_closure() == 2 * 1 + 4 * 2 + 8 * 3
+        assert group.verify_closure() == (
+            (1 + 1 * 1) + (2 + 2 * 2) + (4 + 4 * 3)
+        )
 
     def test_verify_closure_rejects_exactly_the_unclosed_subsets(self):
         # every subset of G_2 at n = 2 holding the identity and its inverses:

@@ -250,12 +250,6 @@ class TestAxisVertex:
         with pytest.raises(NotHyperbolic):
             axis_vertex(BallAffineMap.translation(2, 1), 0)
 
-    def test_precision_budget_checked(self):
-        m = BallAffineMap(2, 1, Fraction(2), Fraction(1))
-        with pytest.raises(InvalidParams):
-            axis_vertex(m, 2, precision=2)
-        assert axis_vertex(m, 2, precision=3) == axis_vertex(m, 2)
-
     def test_coprime_denominator_fixed_point(self):
         m = BallAffineMap(2, 2, Fraction(4), Fraction(1))
         assert m.hyperbolic_fixed_point() == Fraction(-1, 3)
