@@ -202,6 +202,18 @@ def _check_printable(n: int, h: int):
         raise TooLarge(f"centers at height {h} can exceed {limit} digits")
 
 
+def _check_cone(n: int, depth: int, copies: int = 1):
+    """Refuse copies * n**depth vertices past ORBIT_CONE_CAP, before any of
+    them is built; a depth past the cap's bit length is refused without
+    computing n**depth."""
+    if n >= 2 and (
+        depth >= ORBIT_CONE_CAP.bit_length()
+        or copies * n**depth > ORBIT_CONE_CAP
+    ):
+        count = f"{n}^{depth}" if copies == 1 else f"{copies} * {n}^{depth}"
+        raise TooLarge(f"{count} cone vertices; cap is {ORBIT_CONE_CAP}")
+
+
 def _parse_vertex(n: int, text: str) -> TreeVertex:
     head, sep, tail = text.partition(":")
     if not sep:
@@ -300,10 +312,7 @@ def _cmd_tree_orbit(args) -> CommandResult:
     vertex = _parse_vertex(args.n, args.vertex)
     if args.depth < 1:
         raise InvalidParams("depth must be >= 1")
-    if args.n**args.depth > ORBIT_CONE_CAP:
-        raise TooLarge(
-            f"{args.n}^{args.depth} cone vertices; cap is {ORBIT_CONE_CAP}"
-        )
+    _check_cone(args.n, args.depth)
     sigma = restrict_to_up(_tree_map(args), vertex, args.depth)
     levels = []
     index_at = []
@@ -344,11 +353,7 @@ def _cmd_tree_axis(args) -> CommandResult:
     vertex = axis_vertex(map_, args.at_height)
     fixed = map_.hyperbolic_fixed_point()
     if args.dot:
-        if args.n**args.depth > ORBIT_CONE_CAP:
-            raise TooLarge(
-                f"{args.n}^{args.depth} cone vertices; "
-                f"cap is {ORBIT_CONE_CAP}"
-            )
+        _check_cone(args.n, args.depth)
         _write_text(args.dot, subtree_dot(vertex, args.depth))
     payload = {
         "fixed_point": format_rational(fixed),
@@ -361,10 +366,9 @@ def _cmd_tree_axis(args) -> CommandResult:
 
 def _cmd_tree_aeta(args) -> CommandResult:
     if args.eta is not None:
+        _check_cone(args.n, args.depth)
         eta = TruncatedNAdic(
-            base=args.n,
-            precision=args.depth,
-            residue=args.eta % args.n**args.depth,
+            base=args.n, precision=args.depth, residue=args.eta
         )
         built = levelwise_translation(eta)
         return CommandResult(
@@ -479,6 +483,9 @@ def _cmd_embed_auto_equiv(args) -> CommandResult:
 
 def _cmd_embed_straighten(args) -> CommandResult:
     spec = _obtain_spec(args)
+    # the window's heights, and the seed cone of depth + l - 1 levels
+    _check_cone(spec.n, args.depth, 2 * args.window * spec.l + 1)
+    _check_cone(spec.n, args.depth + spec.l - 1)
     mapping = straighten(spec, args.depth, window=args.window)
     pairs = [
         {"from": source.to_json(), "to": target.to_json()}

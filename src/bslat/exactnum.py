@@ -16,6 +16,7 @@ is NOT itself additive.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +27,7 @@ from .errors import (
     NotDivisible,
     NotInvertible,
     ParseError,
+    TooLarge,
 )
 
 Rational = Fraction
@@ -375,5 +377,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Render as 'p/q', or 'p' when the denominator is 1."""
-    return str(Fraction(x))
+    """Render as 'p/q', or 'p' when the denominator is 1.
+
+    A numerator or denominator past Python's int-to-str digit limit raises
+    TooLarge instead of the ValueError of the conversion.
+    """
+    value = Fraction(x)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"a rational exceeds {limit} digits") from None

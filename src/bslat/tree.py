@@ -21,6 +21,7 @@ Three kinds of maps act on it:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,10 +228,16 @@ class BallAffineMap:
     def power(self, k: int) -> "BallAffineMap":
         if k < 0:
             return self.inverse().power(-k)
-        result = BallAffineMap.identity(self.n)
-        for _ in range(k):
-            result = result.compose(self)
-        return result
+        return BallAffineMap(self.n, k * self.h, *self._power_terms(k))
+
+    def _power_terms(self, k: int) -> tuple[Fraction, Fraction]:
+        """(A, B) with x -> A*x + B the k-th power, k >= 0, in closed form:
+        A = u**k and B = beta * (A - 1) / (u - 1).  B may leave Z[1/n]
+        when u has a denominator coprime to n, so no map is built here."""
+        scale = self.u**k
+        if self.u == 1:
+            return scale, k * self.beta
+        return scale, self.beta * (scale - 1) / (self.u - 1)
 
     def __call__(self, x):
         return self.u * _as_fraction(x, self.n, "x") + self.beta
@@ -278,9 +285,56 @@ def act_inverse(map_: BallAffineMap, v: TreeVertex) -> TreeVertex:
 
 
 def act_power(map_: BallAffineMap, k: int, v: TreeVertex) -> TreeVertex:
-    for _ in range(abs(k)):
-        v = act(map_, v) if k > 0 else act_inverse(map_, v)
-    return v
+    """act applied k times, or act_inverse applied -k times, in O(log |k|)."""
+    if map_.n != v.n:
+        raise BaseMismatch("map and vertex over different bases")
+    if map_.h == 0:
+        return _act_elliptic_power(map_, k, v)
+    return _moved(v, k * map_.h, *map_._power_terms(abs(k)), k < 0)
+
+
+def _moved(
+    v: TreeVertex, height_change: int, scale, shift, inverse: bool
+) -> TreeVertex:
+    """The image of v under x -> scale*x + shift (its preimage when
+    ``inverse``), a vertex height_change levels away."""
+    center = (v.c - shift) / scale if inverse else scale * v.c + shift
+    return TreeVertex.of(v.n, v.h + height_change, center)
+
+
+def _act_elliptic_power(
+    map_: BallAffineMap, k: int, v: TreeVertex
+) -> TreeVertex:
+    """act_power of a height-preserving map with numbers bounded by v.
+
+    With n**t clearing the n-part of the denominators of c and beta, the
+    image center (A*c + B) mod n**H of the k-th power x -> A*x + B depends
+    only on A mod n**(H+t) and on n**t * B mod n**(H+t), so the pair is
+    squared and multiplied as integers reduced mod n**(H+t).  u is a unit
+    of Z_n, hence invertible mod n**(H+t) for k < 0.
+    """
+    n = v.n
+    denominator = math.lcm(v.c.denominator, map_.beta.denominator)
+    t = max(0, -v.h)
+    while n**t % denominator:
+        t += 1
+    scale, modulus = n**t, n ** (v.h + t)
+    a = int(nadic_residue(map_.u, v.h + t, n))
+    b = int(map_.beta * scale) % modulus
+    if k < 0:
+        a = pow(a, -1, modulus)
+        b = -a * b % modulus
+        k = -k
+    # (a, b) after (a2, b2) is (a*a2, a*b2 + b); powers of one map commute
+    big_a, big_b = 1, 0
+    while k:
+        if k & 1:
+            big_a, big_b = a * big_a % modulus, (a * big_b + b) % modulus
+        k >>= 1
+        if k:
+            a, b = a * a % modulus, (a * b + b) % modulus
+    center = (big_a * int(v.c * scale) + big_b) % modulus
+    return TreeVertex(n, v.h, Fraction(center, scale))
 
 
 def fixes(map_: BallAffineMap, v: TreeVertex) -> bool:
@@ -321,17 +375,42 @@ def is_transitive_on_up(map_: BallAffineMap, w: TreeVertex, level: int) -> bool:
         raise DoesNotFix(f"{map_} does not fix {w}")
     if level < 1:
         raise InvalidParams("level must be >= 1")
+    a, d = _label_step(map_, w, level)
     count = w.n**level
-    start = vertex_above(w, level, 0)
-    seen, v = 0, start
+    seen, y = 0, 0
     while True:
         seen += 1
-        v = act(map_, v)
-        if v == start:
+        y = (a * y + d) % count
+        if y == 0:
             break
         if seen > count:
             raise AssertionError("orbit failed to close")
     return seen == count
+
+
+def _label_step(
+    map_: BallAffineMap, w: TreeVertex, level: int
+) -> tuple[int, int]:
+    """(a, d) such that an elliptic map fixing w moves the labels at
+    relative ``level`` above w by y -> (a*y + d) mod n**level.
+
+    a is the residue of u and d that of (u*c_w + beta - c_w) / n**h_w.  The
+    step is checked against the literal act at one label of the level.
+    """
+    n = w.n
+    a = int(nadic_residue(map_.u, level, n))
+    offset = (map_.u * w.c + map_.beta - w.c) / Fraction(n) ** w.h
+    d = int(nadic_residue(offset, level, n))
+    size = n**level
+    label = size - 1
+    stepped = (a * label + d) % size
+    acted = label_above(w, act(map_, vertex_above(w, level, label)))
+    if stepped != acted:
+        raise AssertionError(
+            f"label step self-check failed at level {level}, label {label}: "
+            f"closed form {stepped}, act {acted}"
+        )
+    return a, d
 
 
 def transitive_forever(beta, w: TreeVertex) -> bool:
@@ -440,12 +519,9 @@ def restrict_to_up(
         raise DoesNotFix(f"{map_} does not fix {w}")
     perms = []
     for level in range(1, depth + 1):
-        perms.append(
-            tuple(
-                label_above(w, act(map_, vertex_above(w, level, y)))
-                for y in range(w.n**level)
-            )
-        )
+        a, d = _label_step(map_, w, level)
+        size = w.n**level
+        perms.append(tuple((a * y + d) % size for y in range(size)))
     return LevelPermAutomorphism(w.n, tuple(perms))
 
 
@@ -602,18 +678,28 @@ def build_conjugator(
                 f"g0 moves the axis label at level {level}"
             )
     pairs = []
+    powers = {}
     for v in window_vertices(n, x_star, -window * length, window * length, depth):
         meet = axis_meet_height(x_star, v)
         if meet == v.h:
             pairs.append((v, v))
             continue
         segment = meet // length
-        pulled = act_power(b_prime, -segment, v)
+        if segment not in powers:
+            powers[segment] = (
+                b._power_terms(abs(segment)),
+                b_prime._power_terms(abs(segment)),
+            )
+        b_terms, b_prime_terms = powers[segment]
+        # b'^-segment pulls v back to the seed's cone, b^segment pushes out
+        pulled = _moved(v, -segment * length, *b_prime_terms, segment > 0)
         level = pulled.h - anchor.h
         relabeled = vertex_above(
             anchor, level, g0.apply(level, label_above(anchor, pulled))
         )
-        pairs.append((v, act_power(b, segment, relabeled)))
+        pairs.append(
+            (v, _moved(relabeled, segment * length, *b_terms, segment < 0))
+        )
     return PartialTreeMap(n, tuple(pairs))
 
 

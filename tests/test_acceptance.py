@@ -328,7 +328,7 @@ def test_criterion_08_transitivity_search(capsys):
                 beta = Fraction(numerator, n ** rng.randint(0, 2))
                 for l in (1, 2):
                     found = eventually_transitive_search(
-                        beta, l, depth=0, n=n
+                        beta, l, depth=depth, n=n
                     )
                     assert found == _brute_minimal_pair(beta, l, n, depth)
                 total += 1

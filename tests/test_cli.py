@@ -1,6 +1,8 @@
 """End-to-end command line tests, run in process through main()."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -190,6 +192,51 @@ class TestTreeVerbs:
         )
         assert code == 0
         assert record["payload"]["vertex"]["c"] == str(2**14284 - 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "act", "--n", "2", "--vertex", "14284:-1/2",
+             "--power", "0"],
+            ["tree", "orbit", "--n", "2", "--vertex", "14284:-1/2"],
+        ],
+    )
+    def test_rational_past_the_printable_digits(self, argv, capsys):
+        # height 14284 is inside the bound, but the center 2**14284 - 1/2
+        # has a 4301-digit numerator
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: a rational exceeds 4300 digits\n"
+
+    def test_elliptic_power_is_logarithmic(self, capsys):
+        start = time.perf_counter()
+        code, record, _ = run_json(
+            [
+                "tree", "act", "--n", "2", "--unit=7", "--beta=1",
+                "--vertex=0:0", "--power", "10000000",
+            ],
+            capsys,
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert record["payload"]["image"] == {"h": 0, "c": "0"}
+
+    def test_long_hyperbolic_power(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            [
+                "tree", "act", "--n", "6", "--height", "-1", "--unit=1/6",
+                "--beta=5", "--vertex=2:1", "--power", "5000",
+            ],
+            capsys,
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        # stdout of the vertex-at-a-time loop, which took over two minutes
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "924a63410f33cbf12b6984655b453fea51b1825e0f5afc7e72d26f8e21c33b3e"
+        )
 
     def test_axis_of_elliptic_map_fails(self, capsys):
         code, _, err = run(
@@ -555,6 +602,31 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error: ") and "--workers" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "aeta", "--n", "10", "--depth", "9", "--eta", "3"],
+            ["tree", "orbit", "--n", "2", "--vertex", "0:0",
+             "--depth", str(10**12)],
+            # 5 heights of 2**14 window vertices
+            ["embed", "straighten", "--n", "2", "--l", "1", "--s", "1",
+             "--m", "1", "--depth", "14"],
+            ["embed", "straighten", "--n", "2", "--l", "1", "--s", "1",
+             "--m", "1", "--depth", "3", "--window", "1000"],
+            # a seed cone of 3**20 labels
+            ["embed", "straighten", "--n", "3", "--l", "20", "--s", "1",
+             "--m", "1", "--depth", "1"],
+        ],
+    )
+    def test_cone_cap_is_checked_before_any_work(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("cone vertices; cap is 4096\n")
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -1,6 +1,7 @@
 """Tree vertices, ball-affine actions, level permutations, conjugators."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -446,6 +447,154 @@ class TestRestrictToUp:
                 assert restrict_to_up(
                     conj, TreeVertex.root(n), depth
                 ) == restrict_to_up(a.power(n), TreeVertex.root(n), depth)
+
+
+# The literal walks below are the oracle for the closed forms in bslat.tree:
+# they act on one vertex, or compose one map, per step.
+
+
+def walk_restrict(map_, w, depth):
+    return tuple(
+        tuple(
+            label_above(w, act(map_, vertex_above(w, level, y)))
+            for y in range(w.n**level)
+        )
+        for level in range(1, depth + 1)
+    )
+
+
+def walk_orbit_length(map_, w, level):
+    start = vertex_above(w, level, 0)
+    v, length = act(map_, start), 1
+    while v != start:
+        v, length = act(map_, v), length + 1
+    return length
+
+
+def walk_act_power(map_, k, v):
+    for _ in range(abs(k)):
+        v = act(map_, v) if k > 0 else act_inverse(map_, v)
+    return v
+
+
+def compose_power(map_, k):
+    result = BallAffineMap.identity(map_.n)
+    for _ in range(k):
+        result = result.compose(map_)
+    return result
+
+
+@st.composite
+def coprime_units(draw, n):
+    """Units of Z_n, mostly with a denominator coprime to n."""
+    numerator = draw(
+        st.integers(min_value=1, max_value=25).filter(
+            lambda w: math.gcd(w, n) == 1
+        )
+    )
+    denominator = draw(st.sampled_from([1, 5, 7, 11]))
+    return draw(st.sampled_from([1, -1])) * Fraction(numerator, denominator)
+
+
+@st.composite
+def fixed_pairs(draw):
+    """An elliptic map and a vertex it fixes.  Heights reach -3 with
+    fractional centers, and u may have a denominator coprime to n."""
+    n = draw(BASES)
+    w = draw(vertices(base=n))
+    u = draw(coprime_units(n))
+    # beta = (1 - u) * c_w mod n**h_w, moved by a multiple of n**h_w
+    beta = nadic_residue((1 - u) * w.c, w.h, n) + Fraction(n) ** w.h * draw(
+        st.integers(min_value=-20, max_value=20)
+    )
+    return BallAffineMap(n, 0, u, beta), w
+
+
+@st.composite
+def any_maps(draw):
+    """Elliptic or hyperbolic maps; u = unit * n**h may have a denominator
+    coprime to n, and need not be a unit of Z[1/n] (e.g. 6 at n = 2)."""
+    n = draw(BASES)
+    h = draw(st.integers(min_value=-2, max_value=2))
+    u = draw(coprime_units(n)) * Fraction(n) ** h
+    beta = Fraction(draw(st.integers(min_value=-64, max_value=64)), n**2)
+    return BallAffineMap(n, h, u, beta)
+
+
+class TestClosedFormsAgainstWalks:
+    @given(fixed_pairs(), st.integers(min_value=1, max_value=3))
+    def test_restrict_to_up(self, pair, depth):
+        map_, w = pair
+        while w.n**depth > 64:
+            depth -= 1
+        assert restrict_to_up(map_, w, depth).perms == walk_restrict(
+            map_, w, depth
+        )
+
+    @given(fixed_pairs(), st.integers(min_value=1, max_value=4))
+    def test_is_transitive_on_up(self, pair, level):
+        map_, w = pair
+        while w.n**level > 216:
+            level -= 1
+        assert is_transitive_on_up(map_, w, level) == (
+            walk_orbit_length(map_, w, level) == w.n**level
+        )
+
+    @given(any_maps(), st.integers(min_value=-40, max_value=40), st.data())
+    def test_act_power(self, map_, k, data):
+        v = data.draw(vertices(base=map_.n))
+        assert act_power(map_, k, v) == walk_act_power(map_, k, v)
+
+    @pytest.mark.parametrize(
+        "u, beta, v",
+        [
+            (Fraction(3), Fraction(1), TreeVertex(2, -2, Fraction(0))),
+            (Fraction(-5, 7), Fraction(5), TreeVertex(6, -1, Fraction(0))),
+            (Fraction(2, 5), Fraction(1, 3),
+             TreeVertex(3, -3, Fraction(1, 81))),
+        ],
+    )
+    def test_elliptic_power_below_the_root(self, u, beta, v):
+        f = BallAffineMap(v.n, 0, u, beta)
+        for k in (-7, -1, 0, 1, 2, 9):
+            assert act_power(f, k, v) == walk_act_power(f, k, v)
+
+    @given(ball_maps(), st.integers(min_value=0, max_value=40))
+    def test_power(self, map_, k):
+        assert map_.power(k) == compose_power(map_, k)
+
+    def test_power_of_non_ring_unit_fails_like_composition(self):
+        # u = 1/3 at n = 2: u * beta leaves Z[1/2], so f o f is no map
+        third = BallAffineMap(2, 0, Fraction(1, 3), Fraction(1))
+        assert third.power(1) == compose_power(third, 1)
+        for power in (third.power, lambda k: compose_power(third, k)):
+            with pytest.raises(InvalidParams):
+                power(2)
+
+    def test_large_elliptic_power(self):
+        k = 10**7
+        f = BallAffineMap(2, 0, Fraction(7), Fraction(1))
+        # 1 + 7 + ... + 7**(k-1) = (7**k - 1) / 6, reduced mod 2**20
+        modulus = 6 * 2**20
+        expected = (pow(7, k, modulus) - 1) % modulus // 6
+        assert act_power(f, k, TreeVertex(2, 20, Fraction(0))) == TreeVertex(
+            2, 20, Fraction(expected)
+        )
+        inverse = act_power(f, -k, TreeVertex(2, 20, Fraction(expected)))
+        assert inverse == TreeVertex(2, 20, Fraction(0))
+
+    def test_label_step_self_check_names_both_values(self, monkeypatch):
+        import bslat.tree as tree
+
+        real_act = tree.act
+        monkeypatch.setattr(
+            tree, "act", lambda f, v: real_act(f, real_act(f, v))
+        )
+        message = "label 1: closed form 0, act 1"
+        with pytest.raises(AssertionError, match=message):
+            restrict_to_up(
+                BallAffineMap.translation(2, 1), TreeVertex.root(2), 1
+            )
 
 
 class TestPartialTreeMap:
