@@ -9,9 +9,9 @@ Everything downstream works over three kinds of numbers, all exact:
 
 The base n may be composite.  The n-adic integers for composite n split as a
 product of p-adic rings over the primes p | n, so membership and unit tests
-are always performed per prime; the coarse quantity ``n_valuation`` (the
-largest h with x in n**h * Z_n) is derived from the per-prime valuations and
-is NOT itself additive.
+are always performed per prime; the coarse quantity ``valuation_in_base``
+(the largest h with x in n**h * Z_n) is derived from the per-prime
+valuations and is NOT itself additive.
 """
 
 from __future__ import annotations
@@ -297,16 +297,6 @@ class NInvertible:
 
     def __str__(self):
         return format_rational(self.value)
-
-
-def n_valuation(x: NInvertible):
-    """Largest h with x in n**h * Z_n, for the tagged base; INFINITY at 0."""
-    return valuation_in_base(x.value, x.base)
-
-
-def is_unit_in_Zn(x: NInvertible) -> bool:
-    """Unit test in the n-adic integers of the tagged base."""
-    return unit_in_base(x.value, x.base)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ permutations, composed with bytes.translate.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -35,7 +36,7 @@ from .tree import (
     BallAffineMap,
     LevelPermAutomorphism,
     TreeVertex,
-    enumerate_cone_automorphisms,
+    enumerate_cone_tops,
     is_transitive_on_up,
     levelwise_translation,
 )
@@ -122,64 +123,72 @@ def _generated(gens) -> set[bytes]:
     return members
 
 
-def _invert_top(top: bytes) -> bytes:
-    out = bytearray(len(top))
-    for y, image in enumerate(top):
-        out[image] = y
-    return bytes(out)
-
-
 @dataclass(frozen=True)
 class LevelPermGroup:
-    """Group of depth-k cone automorphisms as an explicit element list.
+    """Group of depth-k cone automorphisms, held as the canonical tuple of
+    its top-level permutations (bytes).
 
-    Elements are kept sorted by their permutation tables so equal groups
-    compare equal and reports are deterministic.  Construction checks the
-    cheap invariants (sorted, duplicate-free, identity and all inverses
+    Built from user-supplied elements, the group validates them and sorts
+    them by their permutation tables.  Built from ``tops=``, it trusts them
+    to be the tops of valid automorphisms already in that order, as the
+    enumerator and the centralizer search pass them.  Either way equal
+    groups compare equal and reports are deterministic, and construction
+    checks the cheap invariants (duplicate-free, identity and all inverses
     present); composition closure is certified exhaustively by
     verify_closure, which the enumerator and centralizer always run.
+    Elements are built only when the group is iterated.
     """
 
     n: int
     k: int
-    elements: tuple[LevelPermAutomorphism, ...] = field(repr=False)
+    elements: InitVar[tuple[LevelPermAutomorphism, ...] | None] = None
+    tops: tuple[bytes, ...] = field(default=(), repr=False)
 
-    def __post_init__(self):
-        if not self.elements:
+    def __post_init__(self, elements):
+        if not (self.tops if elements is None else elements):
             raise InvalidParams("a group needs at least the identity")
         if self.n**self.k > TOP_CAP:
             raise TooLarge(
                 f"top level has {self.n}^{self.k} vertices; cap is {TOP_CAP}"
             )
-        ordered = tuple(
-            sorted(self.elements, key=lambda g: g.to_lists())
-        )
-        object.__setattr__(self, "elements", ordered)
-        tops = set()
-        for g in ordered:
-            if g.n != self.n:
-                raise BaseMismatch("element over a different base")
-            if g.depth != self.k:
-                raise InvalidParams(
-                    f"element of depth {g.depth} in a depth-{self.k} group"
-                )
-            tops.add(_top_of(g))
-        if len(tops) != len(ordered):
+        if elements is not None:
+            ordered = sorted(elements, key=lambda g: g.to_lists())
+            for g in ordered:
+                if g.n != self.n:
+                    raise BaseMismatch("element over a different base")
+                if g.depth != self.k:
+                    raise InvalidParams(
+                        f"element of depth {g.depth} in a depth-{self.k} group"
+                    )
+            object.__setattr__(
+                self, "tops", tuple(_top_of(g) for g in ordered)
+            )
+        members = set(self.tops)
+        if len(members) != len(self.tops):
             raise InvalidParams("duplicate elements")
-        if bytes(range(self.n**self.k)) not in tops:
+        identity = bytes(range(self.n**self.k))
+        if identity not in members:
             raise InvalidParams("identity missing")
-        for top in tops:
-            if _invert_top(top) not in tops:
+        for top in members:
+            # the table sending top[y] to y, cut to the labels: the inverse
+            if bytes.maketrans(top, identity)[: len(top)] not in members:
                 raise InvalidParams("not closed under inverse")
+        object.__setattr__(self, "_members", members)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.tops)
 
     def __iter__(self):
-        return iter(self.elements)
+        return (
+            LevelPermAutomorphism.of_valid_top(self.n, top) for top in self.tops
+        )
 
     def __contains__(self, g: LevelPermAutomorphism):
-        return any(g == member for member in self.elements)
+        return (
+            g.n == self.n
+            and g.depth == self.k
+            and _top_of(g) in self._members
+        )
 
     def verify_closure(self) -> int:
         """Certify composition closure from a generating set; returns the
@@ -191,16 +200,16 @@ class LevelPermGroup:
         <S>.  Each new generator at least doubles <S>, so |S| <= log2 |H|
         and the whole check costs O(|H| * |S|) compositions.
         """
-        tops = {_top_of(g) for g in self.elements}
         reached, tables = {bytes(range(self.n**self.k))}, []
         checked = 0
-        for g in self.elements:
-            top = _top_of(g)
+        for top in self.tops:
             if top not in reached:
-                checked += _adjoin(reached, tables, [top], within=tops)
-        if len(reached) != len(tops):
+                checked += _adjoin(
+                    reached, tables, [top], within=self._members
+                )
+        if len(reached) != len(self.tops):
             raise InvalidParams(
-                f"generated {len(reached)} of {len(tops)} elements"
+                f"generated {len(reached)} of {len(self.tops)} elements"
             )
         return checked
 
@@ -222,12 +231,12 @@ def _feasibility_guard(n: int, k: int):
 def enumerate_level_group(n: int, k: int) -> LevelPermGroup:
     """Exhaustive enumeration of the depth-k cone automorphism group.
 
-    The elements come from tree.enumerate_cone_automorphisms (an
-    independent digit permutation above each vertex, level by level); the
-    group sorts them canonically and its closure is certified exhaustively.
+    The tops come from tree.enumerate_cone_tops (an independent digit
+    permutation above each vertex, level by level) already in canonical
+    order; the closure of the group is certified exhaustively.
     """
     _feasibility_guard(n, k)
-    group = LevelPermGroup(n, k, tuple(enumerate_cone_automorphisms(n, k)))
+    group = LevelPermGroup(n, k, tops=tuple(enumerate_cone_tops(n, k)))
     group.verify_closure()
     return group
 
@@ -263,26 +272,77 @@ def level_group_report(n: int, k: int) -> LemmaReport:
     )
 
 
+def _commuting_tops(pivot: bytes, n: int) -> list[bytes]:
+    """Tops of every cone automorphism of the pivot's depth commuting with
+    the pivot, found level by level.
+
+    Restriction to depth i - 1 is a homomorphism, so the depth-i solutions
+    are lifts of the depth-(i - 1) ones.  A lift permutes the digits above
+    each vertex independently, and f(p(x)) = p(f(x)) carries its choice
+    above y to the one above p(y): one choice per orbit of the coarse
+    restriction of p fixes the lift on the whole orbit, and is kept when
+    the walk around the orbit closes up.  Each kept choice sets disjoint
+    bytes, so a lift is the sum of one kept choice per orbit, read as a
+    little-endian integer.
+    """
+    digit_perms = list(itertools.permutations(range(n)))
+    layer, size = [bytes(1)], 1
+    while size < len(pivot):
+        coarse, size = size, size * n
+        p = pivot[:size].translate(bytes(b % size for b in range(256)))
+        orbits, seen = [], bytearray(coarse)
+        for start in range(coarse):
+            y, length = start, 0
+            while not seen[y]:
+                seen[y] = 1
+                y, length = p[y] % coarse, length + 1
+            if length:
+                orbits.append((start, length))
+        found = []
+        for c in layer:
+            sums = [0]
+            for start, length in orbits:
+                kept = []
+                for sigma in digit_perms:
+                    first = [
+                        (start + coarse * d, c[start] + coarse * image)
+                        for d, image in enumerate(sigma)
+                    ]
+                    pairs, value = first, 0
+                    for _ in range(length):
+                        value += sum(fx << 8 * x for x, fx in pairs)
+                        pairs = [(p[x], p[fx]) for x, fx in pairs]
+                    if sorted(pairs) == first:
+                        kept.append(value)
+                sums = [a + b for a in sums for b in kept]
+            found += [total.to_bytes(size, "little") for total in sums]
+        layer = found
+    return layer
+
+
 def centralizer(
     g: LevelPermAutomorphism, group: LevelPermGroup
 ) -> LevelPermGroup:
-    """Exhaustive filter of the elements commuting with g."""
+    """The elements of group commuting with g, by an exhaustive lift search
+    in the full depth-k group intersected with group."""
     if g.n != group.n:
         raise BaseMismatch("element over a different base")
     if g.depth != group.k:
         raise NotMember(
             f"depth {g.depth} element cannot lie in a depth-{group.k} group"
         )
-    pivot = _top_of(g)
-    if pivot not in {_top_of(member) for member in group}:
+    if g not in group:
         raise NotMember("element outside the group")
-    table = _padded(pivot)
-    kept = []
-    for member in group:
-        top = _top_of(member)
-        if pivot.translate(_padded(top)) == top.translate(table):
-            kept.append(member)
-    result = LevelPermGroup(group.n, group.k, tuple(kept))
+    full_order = level_group_order_recursive(group.n, group.k)
+    if full_order > SIZE_CAP:
+        raise TooLarge(
+            f"the search runs in a group of order {full_order}; "
+            f"cap is {SIZE_CAP}"
+        )
+    found = set(_commuting_tops(_top_of(g), group.n))
+    result = LevelPermGroup(
+        group.n, group.k, tops=tuple(t for t in group.tops if t in found)
+    )
     result.verify_closure()
     return result
 
@@ -472,13 +532,17 @@ def _abelian_search_order(tops: list[bytes]) -> int | None:
         for g in tops[i:]
         if commutes(f, g)
     ]
+    with_third = count**3 <= 2 * SIZE_CAP
     for f, g in pairs:
-        best = max(best, len(_generated((f, g))))
-    if count**3 <= 2 * SIZE_CAP:
-        for f, g in pairs:
-            for h in tops:
-                if commutes(f, h) and commutes(g, h):
-                    best = max(best, len(_generated((f, g, h))))
+        members = _generated((f, g))
+        best = max(best, len(members))
+        if not with_third:
+            continue
+        for h in tops:
+            if h not in members and commutes(f, h) and commutes(g, h):
+                grown = set(members)
+                _adjoin(grown, [tables[f], tables[g]], [h])
+                best = max(best, len(grown))
     return best
 
 
@@ -509,7 +573,7 @@ def jordan_index_report(n: int, k: int, m_values) -> LemmaReport:
             if order % structural == 0
             else format_rational(Fraction(order, structural))
         )
-    abelian = _abelian_search_order([_top_of(g) for g in group])
+    abelian = _abelian_search_order(list(group.tops))
     if abelian is None:
         notes = (
             "abelian subgroup search skipped above order 200; "

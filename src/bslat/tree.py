@@ -36,6 +36,7 @@ from .errors import (
     NotHyperbolic,
     NotInvertible,
     NotMember,
+    TooLarge,
 )
 from .exactnum import (
     INFINITY,
@@ -465,6 +466,22 @@ class LevelPermAutomorphism:
             n, tuple(tuple(range(n**i)) for i in range(1, depth + 1))
         )
 
+    @staticmethod
+    def of_valid_top(n: int, top: bytes) -> "LevelPermAutomorphism":
+        """The automorphism with top-level permutation top, its lower levels
+        being reductions mod n**i.  Trusted: top must come from a valid
+        automorphism (an enumerator or a closed search), so nothing is
+        checked.
+        """
+        perms, size = [], 1
+        while size < len(top):
+            size *= n
+            perms.append(tuple(label % size for label in top[:size]))
+        g = object.__new__(LevelPermAutomorphism)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "perms", tuple(perms))
+        return g
+
     def apply(self, level: int, label: int) -> int:
         if not 1 <= level <= self.depth:
             raise InvalidParams(f"level {level} outside [1, {self.depth}]")
@@ -749,26 +766,42 @@ def subtree_dot(
     return "\n".join(lines)
 
 
-def enumerate_cone_automorphisms(n: int, depth: int):
-    """All LevelPermAutomorphisms of the given depth, in lexicographic order.
+def enumerate_cone_tops(n: int, depth: int):
+    """Top-level permutations of all depth-D cone automorphisms, as bytes,
+    in the canonical order of their to_lists().
 
+    The automorphisms of depth i over one of depth i - 1 are its identity
+    lift followed by an independent digit permutation above each vertex,
+    so each level is one bytes.translate per kernel table.  Sorting the
+    lifts of each coarse element in turn gives the canonical order.
     Feasible only for tiny n**depth; the one enumerator behind the lab's
     brute-force groups and certifications.
     """
-    digit_perms = sorted(itertools.permutations(range(n)))
+    if n**depth > 256:
+        raise TooLarge(f"{n}^{depth} labels do not fit in a byte")
+    if depth == 0:
+        yield bytes(1)
+        return
+    size = n ** (depth - 1)
+    digit_perms = list(itertools.permutations(range(n)))
+    padding = bytes(range(n * size, 256))
+    kernel = [
+        bytes(
+            y + size * assignment[y][digit]
+            for digit in range(n)
+            for y in range(size)
+        )
+        + padding
+        for assignment in itertools.product(digit_perms, repeat=size)
+    ]
+    for coarse in enumerate_cone_tops(n, depth - 1):
+        lift = bytes(
+            coarse[y] + size * digit for digit in range(n) for y in range(size)
+        )
+        yield from sorted(lift.translate(table) for table in kernel)
 
-    def extend(prefix):
-        if len(prefix) == depth:
-            yield LevelPermAutomorphism(n, tuple(prefix))
-            return
-        size = n ** len(prefix)
-        coarse = prefix[-1] if prefix else (0,)
-        # a finer level = an independent digit permutation above each vertex
-        for assignment in itertools.product(digit_perms, repeat=size):
-            fine = [0] * (n * size)
-            for y in range(size):
-                for digit, image_digit in enumerate(assignment[y]):
-                    fine[y + size * digit] = coarse[y] + size * image_digit
-            yield from extend(prefix + [tuple(fine)])
 
-    yield from extend([])
+def enumerate_cone_automorphisms(n: int, depth: int):
+    """All LevelPermAutomorphisms of the given depth, in canonical order."""
+    for top in enumerate_cone_tops(n, depth):
+        yield LevelPermAutomorphism.of_valid_top(n, top)

@@ -537,6 +537,26 @@ class TestLab:
         assert record["payload"]["centralizer_order"] == 32
         assert record["payload"]["index"] == 4
 
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            # order 2,048
+            ("4", "64de48a448ff058ad8cdc9c5ca2f2620fa28ec40852b291e11d1d018d7a550e9"),
+            # order 32,768: the whole group
+            ("8", "59d718909e4a2ff4c303c65463493d6b9d13fecf502a129c64e19ae53fb52107"),
+        ],
+    )
+    def test_largest_centralizers(self, capsys, m, digest):
+        # the lift search's output is as large as the group here; stdout
+        # recorded from the exhaustive filter over all 32,768 elements
+        start = time.perf_counter()
+        code, out, _ = run(
+            ["lab", "centralizer", "--n", "2", "--k", "4", "--m", m], capsys
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_trans_search(self, capsys):
         code, record, _ = run_json(
             ["lab", "trans-search", "--n", "6", "--beta", "4", "--l", "1"], capsys

@@ -127,7 +127,7 @@ class TestUnits:
         assert not xn.unit_in_base(0, 5)
 
     def test_unit_iff_valuation_zero_is_one_sided(self):
-        # unit implies n_valuation 0; the converse fails for composite n
+        # unit implies valuation_in_base 0; the converse fails for composite n
         assert xn.valuation_in_base(10, 6) == 0
         assert not xn.unit_in_base(10, 6)
 
@@ -186,10 +186,10 @@ class TestNInvertible:
 
     def test_spec_surface(self):
         x = xn.NInvertible.of(12, 2)
-        assert xn.n_valuation(x) == 2
-        assert not xn.is_unit_in_Zn(x)
-        assert xn.is_unit_in_Zn(xn.NInvertible.of(3, 2))
-        assert xn.n_valuation(xn.NInvertible.of(0, 2)) is xn.INFINITY
+        assert xn.valuation_in_base(x.value, x.base) == 2
+        assert not xn.unit_in_base(x.value, x.base)
+        assert xn.unit_in_base(3, 2)
+        assert xn.valuation_in_base(0, 2) is xn.INFINITY
 
 
 class TestPowerQuotient:

@@ -7,6 +7,8 @@ recurrence otherwise; the claimed closed forms are only ever compared,
 never trusted.
 """
 
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,11 @@ from bslat.errors import (
 from bslat.exactnum import NInvertible, smooth_divisors, unit_in_base
 from bslat.lab import (
     LemmaReport,
+    SIZE_CAP,
     LevelPermGroup,
+    _abelian_search_order,
+    _generated,
+    _padded,
     _shift_element,
     centralizer,
     centralizer_bound_report,
@@ -199,6 +205,99 @@ class TestCentralizer:
             )
 
 
+def _filtered_centralizer(g, group):
+    """Tops of the group members commuting with g, by the exhaustive
+    filter: the oracle for the lift search."""
+    pivot = bytes(g.perms[-1])
+    table, after_pivot = _padded(pivot), operator.itemgetter(*pivot)
+    return tuple(
+        top
+        for top in group.tops
+        if top.translate(table) == bytes(after_pivot(top))
+    )
+
+
+class TestCentralizerSearch:
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (2, 4)])
+    def test_every_shift_matches_the_filter(self, n, k):
+        group = enumerate_level_group(n, k)
+        for m in range(1, n**k):
+            shift = _shift_element(n, k, m)
+            assert centralizer(shift, group).tops == (
+                _filtered_centralizer(shift, group)
+            )
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 2)])
+    def test_random_pivots_match_the_filter(self, n, k):
+        group = enumerate_level_group(n, k)
+        for g in random.Random(8 * n + k).sample(list(group), 20):
+            assert centralizer(g, group).tops == _filtered_centralizer(g, group)
+
+    def test_subgroup_matches_the_filter(self):
+        for n, k, m in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
+            group = enumerate_level_group(n, k)
+            sub = centralizer(_shift_element(n, k, m), group)
+            assert len(sub) < len(group)
+            outsider = next(g for g in group if g not in sub)
+            shifts_of_outsider = centralizer(outsider, group)
+            for g in sub:
+                assert centralizer(g, sub).tops == _filtered_centralizer(g, sub)
+            for g in shifts_of_outsider:
+                assert centralizer(g, shifts_of_outsider).tops == (
+                    _filtered_centralizer(g, shifts_of_outsider)
+                )
+
+    def test_search_is_capped_by_the_full_group(self):
+        identity = LevelPermAutomorphism.identity(2, 5)
+        trivial = LevelPermGroup(2, 5, (identity,))
+        assert level_group_order_recursive(2, 5) > SIZE_CAP
+        with pytest.raises(TooLarge):
+            centralizer(identity, trivial)
+
+    def test_enumeration_builds_no_elements(self, monkeypatch):
+        built = []
+        original = LevelPermAutomorphism.__post_init__
+
+        def counting(self):
+            built.append(self.depth)
+            original(self)
+
+        monkeypatch.setattr(LevelPermAutomorphism, "__post_init__", counting)
+        group = enumerate_level_group(2, 4)
+        assert built == []
+        # the same generating set S as the element-by-element certificate
+        assert group.verify_closure() == 491520
+        assert len(centralizer(_shift_element(2, 4, 1), group)) == 16
+        assert built == [4]  # the shift itself
+
+
+class TestGroupOfTops:
+    def test_tops_and_elements_agree(self):
+        group = enumerate_level_group(2, 2)
+        assert LevelPermGroup(2, 2, tuple(group)) == group
+        assert LevelPermGroup(2, 2, tuple(reversed(list(group)))) == group
+        assert [bytes(g.perms[-1]) for g in group] == list(group.tops)
+
+    def test_tops_are_checked(self):
+        identity, swap = bytes([0, 1]), bytes([1, 0])
+        with pytest.raises(InvalidParams):
+            LevelPermGroup(2, 1, tops=(identity, swap, swap))
+        with pytest.raises(InvalidParams):
+            LevelPermGroup(2, 1, tops=(swap,))
+        with pytest.raises(InvalidParams):
+            LevelPermGroup(2, 1, tops=())
+        with pytest.raises(InvalidParams):
+            LevelPermGroup(2, 2, tops=(bytes([0, 1, 2, 3]), bytes([1, 2, 3, 0])))
+
+    def test_membership_by_top(self):
+        group = enumerate_level_group(2, 2)
+        shifts = centralizer(_shift_element(2, 2, 1), group)
+        assert _shift_element(2, 2, 3) in shifts
+        assert LevelPermAutomorphism(2, ((0, 1), (2, 1, 0, 3))) not in shifts
+        assert LevelPermAutomorphism.identity(2, 1) not in group
+        assert LevelPermAutomorphism.identity(3, 2) not in group
+
+
 class TestCentralizerBoundReport:
     def test_small_cases_match_bound(self):
         report = centralizer_bound_report(2, 2, 1)
@@ -365,3 +464,47 @@ class TestJordanIndex:
             jordan_index_report(2, 2, [])
         with pytest.raises(InvalidParams):
             jordan_index_report(2, 2, [0])
+
+
+def _rebuilt_abelian_search_order(tops):
+    """The abelian subgroup search regrowing every subgroup from the
+    identity: the oracle for growing each pair's subgroup once."""
+    count = len(tops)
+    if count > 200:
+        return None
+    tables = {f: _padded(f) for f in tops}
+
+    def commutes(f, g):
+        return g.translate(tables[f]) == f.translate(tables[g])
+
+    best = 1
+    pairs = [
+        (f, g)
+        for i, f in enumerate(tops)
+        for g in tops[i:]
+        if commutes(f, g)
+    ]
+    for f, g in pairs:
+        best = max(best, len(_generated((f, g))))
+    if count**3 <= 2 * SIZE_CAP:
+        for f, g in pairs:
+            for h in tops:
+                if commutes(f, h) and commutes(g, h):
+                    best = max(best, len(_generated((f, g, h))))
+    return best
+
+
+class TestAbelianSearch:
+    @pytest.mark.parametrize("n, k, expected", [(2, 2, 4), (2, 3, 16)])
+    def test_matches_rebuilding_from_the_identity(self, n, k, expected):
+        tops = list(enumerate_level_group(n, k).tops)
+        assert _abelian_search_order(tops) == expected
+        assert _rebuilt_abelian_search_order(tops) == expected
+        sample = random.Random(n + k).sample(tops, min(len(tops), 40))
+        assert _abelian_search_order(sample) == (
+            _rebuilt_abelian_search_order(sample)
+        )
+
+    def test_large_input_is_skipped(self):
+        tops = list(enumerate_level_group(3, 2).tops)
+        assert _abelian_search_order(tops) is None

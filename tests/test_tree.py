@@ -17,6 +17,7 @@ from bslat.errors import (
     NotHyperbolic,
     NotInvertible,
     NotMember,
+    TooLarge,
 )
 from bslat.exactnum import TruncatedNAdic, nadic_residue
 from bslat.tree import (
@@ -32,6 +33,7 @@ from bslat.tree import (
     build_conjugator,
     conjugation_failures,
     enumerate_cone_automorphisms,
+    enumerate_cone_tops,
     fixes,
     is_transitive_on_up,
     label_above,
@@ -744,3 +746,65 @@ class TestEnumeration:
     def test_all_distinct_and_valid(self):
         seen = set(f.perms for f in enumerate_cone_automorphisms(2, 3))
         assert len(seen) == 128
+
+    @pytest.mark.parametrize(
+        "n, depth",
+        [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)],
+    )
+    def test_tops_match_validated_elements_in_canonical_order(self, n, depth):
+        expected = [
+            bytes(g.perms[-1])
+            for g in sorted(
+                _validated_cone_automorphisms(n, depth),
+                key=lambda g: g.to_lists(),
+            )
+        ]
+        assert list(enumerate_cone_tops(n, depth)) == expected
+
+    def test_elements_are_the_validated_ones(self):
+        for n, depth in [(2, 3), (3, 2)]:
+            built = list(enumerate_cone_automorphisms(n, depth))
+            assert built == [LevelPermAutomorphism(n, g.perms) for g in built]
+            assert built == sorted(built, key=lambda g: g.to_lists())
+
+    def test_depth_zero_and_byte_cap(self):
+        assert list(enumerate_cone_tops(3, 0)) == [bytes(1)]
+        assert list(enumerate_cone_automorphisms(3, 0)) == [
+            LevelPermAutomorphism(3, ())
+        ]
+        with pytest.raises(TooLarge):
+            next(enumerate_cone_tops(2, 9))
+
+    def test_trusted_constructor_skips_validation(self, monkeypatch):
+        checked = []
+        original = LevelPermAutomorphism.__post_init__
+
+        def counting(self):
+            checked.append(self)
+            original(self)
+
+        monkeypatch.setattr(LevelPermAutomorphism, "__post_init__", counting)
+        built = LevelPermAutomorphism.of_valid_top(2, bytes([3, 0, 1, 2]))
+        assert checked == []
+        assert built == levelwise_translation(TruncatedNAdic(2, 2, 3))
+
+
+def _validated_cone_automorphisms(n, depth):
+    """The digit-permutation recursion with every element validated, in
+    product order: the oracle for the bytes enumerator."""
+    digit_perms = sorted(itertools.permutations(range(n)))
+
+    def extend(prefix):
+        if len(prefix) == depth:
+            yield LevelPermAutomorphism(n, tuple(prefix))
+            return
+        size = n ** len(prefix)
+        coarse = prefix[-1] if prefix else (0,)
+        for assignment in itertools.product(digit_perms, repeat=size):
+            fine = [0] * (n * size)
+            for y in range(size):
+                for digit, image_digit in enumerate(assignment[y]):
+                    fine[y + size * digit] = coarse[y] + size * image_digit
+            yield from extend(prefix + [tuple(fine)])
+
+    yield from extend([])
