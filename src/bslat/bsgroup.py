@@ -14,6 +14,7 @@ D (a -> a^-1, b -> b) and the power maps Q_i / theta_m (a -> a^{p_i}, b -> b).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,13 @@ from .errors import (
     InvalidParams,
     ParseError,
 )
-from .exactnum import smooth_denominator
+from .exactnum import (
+    PrimeSignature,
+    format_rational,
+    integral_level,
+    is_ring_unit,
+    smooth_denominator,
+)
 
 _TOKEN = re.compile(r"^([A-Za-z])(?:\^(-?\d+))?$")
 
@@ -47,7 +54,13 @@ def parse_letters(text: str, alphabet: tuple[str, ...]) -> tuple[tuple[str, int]
             raise ParseError(
                 f"unknown generator {gen!r}; expected one of {alphabet}"
             )
-        exp = int(match.group(2)) if match.group(2) else 1
+        try:
+            exp = int(match.group(2) or 1)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                f"exponent of {gen} has over {limit} digits"
+            ) from None
         if exp != 0:
             letters.append((gen, exp))
     return tuple(letters)
@@ -58,7 +71,7 @@ def format_letters(letters) -> str:
         return "1"
     parts = []
     for gen, exp in letters:
-        parts.append(gen if exp == 1 else f"{gen}^{exp}")
+        parts.append(gen if exp == 1 else f"{gen}^{format_rational(exp)}")
     return " ".join(parts)
 
 
@@ -197,12 +210,19 @@ def evaluate(w: BSWord) -> AffineInvariant:
 
 
 def normal_form_of(inv: AffineInvariant) -> BSNormalForm:
-    """The unique normal form with the given affine invariant."""
-    x = 0
-    while (Fraction(inv.N) ** x * inv.c).denominator != 1 or x + inv.h < 0:
-        x += 1
-    y = int(Fraction(inv.N) ** x * inv.c)
-    return BSNormalForm(inv.N, x, y, x + inv.h)
+    """The unique normal form with the given affine invariant.
+
+    x is the least x >= -h with N**x * c an integer, read off the per-prime
+    valuations of c in one step.  The result must map back to inv.
+    """
+    x = max(-inv.h, integral_level(inv.c, inv.N))
+    form = BSNormalForm(inv.N, x, int(inv.c * inv.N**x), x + inv.h)
+    if form.invariant() != inv:
+        raise AssertionError(
+            f"normal form self-check failed: {form!r} has invariant "
+            f"{form.invariant()!r}, expected {inv!r}"
+        )
+    return form
 
 
 def normalize(w: BSWord) -> BSNormalForm:
@@ -229,17 +249,7 @@ def theta_is_automorphism(m: int, N: int) -> bool:
     """a -> a^m extends to an automorphism iff every prime of m divides N."""
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    rest = m
-    for p in _prime_list(N):
-        while rest % p == 0:
-            rest //= p
-    return rest == 1
-
-
-def _prime_list(N: int):
-    from .exactnum import PrimeSignature
-
-    return [p for p, _ in PrimeSignature.of(N).primes]
+    return is_ring_unit(m, N)
 
 
 def apply_collins(gen: str, w: BSWord) -> BSWord:
@@ -275,7 +285,7 @@ def apply_collins(gen: str, w: BSWord) -> BSWord:
             index = int(gen[1:])
         except ValueError:
             raise InvalidGenerator(f"unknown generator {gen!r}") from None
-        primes = _prime_list(N)
+        primes = [p for p, _ in PrimeSignature.of(N).primes]
         if not 1 <= index <= len(primes):
             raise InvalidGenerator(
                 f"{gen} out of range: {N} has {len(primes)} prime(s)"

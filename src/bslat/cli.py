@@ -8,8 +8,8 @@ key = value block; ``--json`` switches to one canonical JSON object per
 invocation (sorted keys, rationals as strings).
 
 Exit codes: 0 ok, 1 validation error, 2 parse error (including malformed
-flags and unreadable files), 3 infeasible.  Failures print a one-line
-reason, never a traceback.
+flags and unreadable files), 3 infeasible, 4 internal error (a failed
+self-check).  Failures print a one-line reason, never a traceback.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ from .tree import (
 # Cone sizes above this would make orbit listings useless as terminal output.
 ORBIT_CONE_CAP = 4096
 
-_EXIT = {"ok": 0, "validation_error": 1, "parse_error": 2, "infeasible": 3}
+_EXIT = {"ok": 0, "validation_error": 1, "parse_error": 2, "infeasible": 3,
+         "internal_error": 4}
 
 
 @dataclass(frozen=True)
@@ -256,26 +257,36 @@ def _cycles(perm) -> list[list[int]]:
 # ---------------------------------------------------------------- bs
 
 
+def _bs_words(N: int, *texts) -> list:
+    """Parse the words; refuse them when N**T is unprintable, for T their
+    total |b exponent|: their heights and their images' stay within T + 1."""
+    words = [bsgroup.BSWord.from_text(N, text) for text in texts]
+    total = sum(abs(e) for w in words for g, e in w.letters if g == "b")
+    _check_printable(N, total)
+    return words
+
+
 def _cmd_bs_normalize(args) -> CommandResult:
-    form = bsgroup.normalize(bsgroup.BSWord.from_text(args.N, args.word))
-    return CommandResult("ok", _normal_form_record(form))
+    (word,) = _bs_words(args.N, args.word)
+    return CommandResult("ok", _normal_form_record(bsgroup.normalize(word)))
 
 
 def _cmd_bs_mult(args) -> CommandResult:
-    left = bsgroup.normalize(bsgroup.BSWord.from_text(args.N, args.left))
-    right = bsgroup.normalize(bsgroup.BSWord.from_text(args.N, args.right))
+    words = _bs_words(args.N, args.left, args.right)
+    left, right = map(bsgroup.normalize, words)
     return CommandResult(
         "ok", _normal_form_record(bsgroup.multiply(left, right))
     )
 
 
 def _cmd_bs_invert(args) -> CommandResult:
-    form = bsgroup.normalize(bsgroup.BSWord.from_text(args.N, args.word))
+    (word,) = _bs_words(args.N, args.word)
+    form = bsgroup.normalize(word)
     return CommandResult("ok", _normal_form_record(bsgroup.invert(form)))
 
 
 def _cmd_bs_collins(args) -> CommandResult:
-    word = bsgroup.BSWord.from_text(args.N, args.word)
+    (word,) = _bs_words(args.N, args.word)
     image = bsgroup.apply_collins(args.generator, word)
     record = {"generator": args.generator, "input": str(word) or "1"}
     record.update(_normal_form_record(bsgroup.normalize(image)))
@@ -283,6 +294,7 @@ def _cmd_bs_collins(args) -> CommandResult:
 
 
 def _normal_form_record(form) -> dict:
+    # str(form) renders y through format_rational: an unprintable y exits 3
     return {
         "word": str(form) or "1",
         "x": form.x,
@@ -804,6 +816,8 @@ def main(argv=None) -> int:
         result = CommandResult("infeasible", {}, (str(exc),))
     except ValidationError as exc:
         result = CommandResult("validation_error", {}, (str(exc),))
+    except AssertionError as exc:  # a failed self-check names both values
+        result = CommandResult("internal_error", {}, (str(exc),))
     return _emit(result, args.json)
 
 

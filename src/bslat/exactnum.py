@@ -2,7 +2,7 @@
 
 Everything downstream works over three kinds of numbers, all exact:
 
-* arbitrary rationals (``fractions.Fraction``, re-exported as ``Rational``),
+* arbitrary rationals (``fractions.Fraction``),
 * the subring Z[1/n] of rationals whose denominator divides a power of n
   (``NInvertible``),
 * truncated n-adic integers, i.e. residues mod n**D (``TruncatedNAdic``).
@@ -12,6 +12,9 @@ product of p-adic rings over the primes p | n, so membership and unit tests
 are always performed per prime; the coarse quantity ``valuation_in_base``
 (the largest h with x in n**h * Z_n) is derived from the per-prime
 valuations and is NOT itself additive.
+
+``integral_level`` and ``transitive_pair`` hold, once, the per-prime
+exponent arithmetic behind the lattice invariant (s, m).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-
-Rational = Fraction
 
 
 class _PlusInfinity:
@@ -98,29 +99,40 @@ def _prime_signature(n: int) -> PrimeSignature:
     return PrimeSignature(base=n, primes=tuple(factors))
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, reusing a Fraction (Fraction(x) would copy it)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(v, x // p**v) for the largest v with p**v dividing the nonzero x;
+    p**2 is stripped from x // p recursively, so v costs O(log v) divisions."""
+    if x % p:
+        return 0, x
+    v, x = _strip(x // p, p * p)
+    if x % p:
+        return 2 * v + 1, x
+    return 2 * v + 2, x // p
+
+
+def _coprime_part(x: int, n: int) -> int:
+    """x with every prime factor of n divided out."""
+    for p, _ in _prime_signature(n).primes:
+        x = _strip(x, p)[1]
+    return x
+
+
 def p_valuation(x, p: int):
     """v_p of a rational (INFINITY for zero)."""
-    q = Fraction(x)
+    q = _fraction(x)
     if q == 0:
         return INFINITY
-    v, num = 0, abs(q.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
 def smooth_denominator(x, n: int) -> bool:
     """True iff x lies in Z[1/n]: the denominator's primes all divide n."""
-    den = Fraction(x).denominator
-    for p, _ in _prime_signature(n).primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return _coprime_part(_fraction(x).denominator, n) == 1
 
 
 def valuation_in_base(x, n: int):
@@ -128,7 +140,7 @@ def valuation_in_base(x, n: int):
 
     Computed as min over p | n of floor(v_p(x) / e_p).  May be negative.
     """
-    q = Fraction(x)
+    q = _fraction(x)
     if q == 0:
         return INFINITY
     return min(
@@ -138,13 +150,13 @@ def valuation_in_base(x, n: int):
 
 def integral_in_base(x, n: int) -> bool:
     """True iff x lies in Z_n, i.e. v_p(x) >= 0 for every p | n."""
-    q = Fraction(x)
+    q = _fraction(x)
     return all(p_valuation(q, p) >= 0 for p, _ in _prime_signature(n).primes)
 
 
 def unit_in_base(x, n: int) -> bool:
     """True iff x is a unit of Z_n: v_p(x) = 0 for every p | n."""
-    q = Fraction(x)
+    q = _fraction(x)
     if q == 0:
         return False
     return all(p_valuation(q, p) == 0 for p, _ in _prime_signature(n).primes)
@@ -152,7 +164,7 @@ def unit_in_base(x, n: int) -> bool:
 
 def in_ball(x, height: int, n: int) -> bool:
     """True iff x lies in n**height * Z_n (per-prime membership)."""
-    q = Fraction(x)
+    q = _fraction(x)
     return all(
         p_valuation(q, p) >= height * e
         for p, e in _prime_signature(n).primes
@@ -174,6 +186,48 @@ def smooth_divisors(n: int, level_cap: int) -> list[int]:
     return sorted(divisors)
 
 
+def integral_level(x, n: int, l: int = 1) -> int:
+    """Least t >= 0 with n**(l*t) * x in Z_n (0 for x = 0): the largest of 0
+    and ceil(-v_p(x) / (l*e)) over the prime powers p**e of n."""
+    q = _fraction(x)
+    if q == 0:
+        return 0
+    primes = _prime_signature(n).primes
+    return max(0, *(-(p_valuation(q, p) // (l * e)) for p, e in primes))
+
+
+def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
+    """Least k >= 0, then least n-smooth j, with j * beta / n**(l*k) a unit
+    of Z_n: j copies of the shift by the nonzero beta act transitively
+    forever from l*k levels up.  The closed form k = integral_level(1/beta),
+    j = prod p**(l*k*e - v_p(beta)) must agree with the literal search."""
+    q = _fraction(beta)
+    k = integral_level(1 / q, n, l)
+    j = 1
+    for p, e in _prime_signature(n).primes:
+        j *= p ** (l * k * e - p_valuation(q, p))
+    searched = _search_pair(q, l, n)
+    if searched != (k, j):
+        raise AssertionError(
+            f"exponent self-check failed: formula (k, j) = {(k, j)}, "
+            f"search {searched}"
+        )
+    return k, j
+
+
+def _search_pair(beta: Fraction, l: int, n: int):
+    """Literal transitive_pair: for k = 0, 1, ..., 63 try the divisors of a
+    power of n in increasing order; None when nothing is found."""
+    primes = _prime_signature(n).primes
+    spread = max(abs(p_valuation(beta, p)) for p, _ in primes)
+    for k in range(64):
+        scale = Fraction(n) ** (l * k)
+        for j in smooth_divisors(n, l * k + spread + 1):
+            if unit_in_base(j * beta / scale, n):
+                return k, j
+    return None
+
+
 def is_ring_unit(x, n: int) -> bool:
     """True iff x is invertible inside Z[1/n] itself.
 
@@ -181,16 +235,12 @@ def is_ring_unit(x, n: int) -> bool:
     primes dividing n.  Such x are exactly the elements whose reciprocal still
     has an n-power-smooth denominator.
     """
-    q = Fraction(x)
-    if q == 0:
-        return False
-    num, den = abs(q.numerator), q.denominator
-    for p, _ in _prime_signature(n).primes:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return num == 1 and den == 1
+    q = _fraction(x)
+    return (
+        q != 0
+        and abs(_coprime_part(q.numerator, n)) == 1
+        and _coprime_part(q.denominator, n) == 1
+    )
 
 
 def nadic_residue(x, height: int, n: int) -> Fraction:
@@ -201,19 +251,12 @@ def nadic_residue(x, height: int, n: int) -> Fraction:
     to n after removing its n-smooth part (i.e. any rational at all); the
     coprime part is divided out by a modular inverse.
     """
-    q = Fraction(x)
-    sig = _prime_signature(n)
-    den = q.denominator
-    for p, _ in sig.primes:
-        while den % p == 0:
-            den //= p
-    coprime_part = den
+    q = _fraction(x)
+    coprime_part = _coprime_part(q.denominator, n)
     if coprime_part == 1:
         return q % (Fraction(n) ** height)
     smooth_part = q.denominator // coprime_part
-    shift = max(0, -height)
-    while n**shift % smooth_part != 0:
-        shift += 1
+    shift = max(-height, integral_level(Fraction(1, smooth_part), n))
     scaled_num = q.numerator * (n**shift // smooth_part)
     modulus = n ** (height + shift)
     inv = pow(coprime_part, -1, modulus)
@@ -285,15 +328,6 @@ class NInvertible:
 
     def __neg__(self):
         return NInvertible(-self.value, self.base)
-
-    def valuation(self):
-        return valuation_in_base(self.value, self.base)
-
-    def is_unit(self) -> bool:
-        return unit_in_base(self.value, self.base)
-
-    def is_integral(self) -> bool:
-        return integral_in_base(self.value, self.base)
 
     def __str__(self):
         return format_rational(self.value)

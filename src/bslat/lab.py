@@ -24,13 +24,11 @@ from .errors import (
 from .exactnum import (
     NInvertible,
     TruncatedNAdic,
-    _prime_signature,
     format_rational,
     integral_in_base,
+    integral_level,
     nadic_residue,
-    p_valuation,
-    smooth_divisors,
-    unit_in_base,
+    transitive_pair,
 )
 from .tree import (
     BallAffineMap,
@@ -358,14 +356,7 @@ def _collapse_level(n: int, m: int) -> int:
     fits inside n**l."""
     if m < 1:
         raise InvalidParams("m must be a positive integer")
-    return max(
-        [0]
-        + [
-            -(-p_valuation(m, p) // e)
-            for p, e in _prime_signature(n).primes
-            if m % p == 0
-        ]
-    )
+    return integral_level(Fraction(1, m), n)
 
 
 def centralizer_bound_report(n: int, k: int, m: int) -> LemmaReport:
@@ -421,9 +412,9 @@ def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
     unit quotient, so the shift's j-th power is transitive forever from
     height l*k on.
 
-    Computed two ways (per-prime closed form, literal search over
-    increasing smooth multipliers) which must agree, then certified by
-    explicit orbit enumeration down to ``depth`` levels.
+    Computed by exactnum.transitive_pair (closed form checked against a
+    literal search), then certified by explicit orbit enumeration down to
+    ``depth`` levels.
     """
     value, base = _coerce_base(beta, n)
     if value == 0:
@@ -433,29 +424,7 @@ def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
     if depth < 0:
         raise InvalidParams("depth must be >= 0")
     _certification_guard(base, depth)
-    sig = _prime_signature(base)
-    vals = {p: p_valuation(value, p) for p, _ in sig.primes}
-    k = max([0] + [-(-vals[p] // (l * e)) for p, e in sig.primes])
-    j = 1
-    for p, e in sig.primes:
-        j *= p ** (l * k * e - vals[p])
-    spread = max(abs(vals[p]) for p, _ in sig.primes)
-    searched = None
-    for k_try in range(64):
-        cap = l * k_try + spread + 1
-        for j_try in smooth_divisors(base, cap):
-            if unit_in_base(
-                j_try * value / Fraction(base) ** (l * k_try), base
-            ):
-                searched = (k_try, j_try)
-                break
-        if searched:
-            break
-    if searched != (k, j):
-        raise AssertionError(
-            f"transitivity search self-check failed: formula {(k, j)}, "
-            f"search {searched}"
-        )
+    k, j = transitive_pair(value, l, base)
     if depth > 0:
         anchor = TreeVertex(base, l * k, Fraction(0))
         shift = BallAffineMap.translation(base, j * value)

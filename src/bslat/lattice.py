@@ -9,10 +9,10 @@ the tree scaling factor of imgB to be exactly n**l and the classifier reads
 everything else off the per-prime valuations of imgA's tree translation
 part.
 
-Two independent implementations of the classifier run on every call: a
-closed per-prime formula and a literal search that walks the axis and tries
-n-smooth multipliers in increasing order.  They must agree; a mismatch is
-an internal error, not a user error.
+Every call checks the classifier two ways: h0 from the valuations against a
+walk along the axis, and (k, j) from the per-prime formula of
+``exactnum.transitive_pair`` against its literal search over n-smooth
+multipliers.  A mismatch is an internal error, not a user error.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .exactnum import (
     format_rational,
     p_valuation,
     parse_rational,
-    smooth_divisors,
+    transitive_pair,
     truncated_inverse,
-    unit_in_base,
+    valuation_in_base,
 )
 from .isometry import (
     AmbientAutomorphism,
@@ -201,25 +201,10 @@ def _require_valid(spec: EmbeddingSpec):
     raise InvalidParams(first)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def _classify_by_search(spec: EmbeddingSpec):
-    """Literal reading of the classification procedure: walk the axis to
-    the highest fixed vertex, then try k = 0, 1, ... and n-smooth j in
-    increasing order until j copies of the generator act transitively
-    forever above that height."""
-    n, l = spec.n, spec.l
-    beta = spec.imgA.tree.beta
-    shift = BallAffineMap.translation(n, beta)
+def _h0_by_axis_walk(spec: EmbeddingSpec) -> int:
+    """Literal reading of h0: walk the axis of the stable letter to the
+    highest vertex fixed by the image of a."""
+    shift = BallAffineMap.translation(spec.n, spec.imgA.tree.beta)
     axis_tree = spec.imgB.tree
     h = 0
     if fixes(shift, axis_vertex(axis_tree, 0)):
@@ -228,16 +213,7 @@ def _classify_by_search(spec: EmbeddingSpec):
     else:
         while not fixes(shift, axis_vertex(axis_tree, h)):
             h -= 1
-    h0 = h
-    spread = max(
-        abs(p_valuation(beta, p)) for p, _ in _prime_signature(n).primes
-    )
-    for k in range(64):
-        cap = abs(h0) + l * k + spread + 1
-        for j in smooth_divisors(n, cap):
-            if unit_in_base(j * beta / Fraction(n) ** (h0 + l * k), n):
-                return h0, k, j
-    raise AssertionError("no transitively-forever power found")
+    return h
 
 
 def classify(spec: EmbeddingSpec) -> EmbeddingClass:
@@ -245,29 +221,25 @@ def classify(spec: EmbeddingSpec) -> EmbeddingClass:
 
     h0 is the highest axis vertex fixed by the image of a; k and j describe
     the smallest power j of that image acting transitively forever l*k
-    levels higher; m = n**(l*k) / j.  Both the closed per-prime formula and
-    the literal search are evaluated and must agree.
+    levels higher; m = n**(l*k) / j.  h0 is read off the valuations and
+    checked against a walk along the axis; (k, j) comes from
+    exactnum.transitive_pair, which checks itself against a literal search.
     """
     _require_valid(spec)
     n, l = spec.n, spec.l
     beta = spec.imgA.tree.beta
-    sig = _prime_signature(n)
-    vals = {p: p_valuation(beta, p) for p, _ in sig.primes}
-    h0 = min(vals[p] // e for p, e in sig.primes)
-    k = max(
-        [0]
-        + [_ceil_div(vals[p] - h0 * e, l * e) for p, e in sig.primes]
-    )
-    j = _product(
-        p ** (l * k * e - (vals[p] - h0 * e)) for p, e in sig.primes
-    )
-    m = _product(p ** (vals[p] - h0 * e) for p, e in sig.primes)
-    searched = _classify_by_search(spec)
-    if searched != (h0, k, j):
+    h0 = valuation_in_base(beta, n)
+    walked = _h0_by_axis_walk(spec)
+    if walked != h0:
         raise AssertionError(
-            f"classifier self-check failed: formula {(h0, k, j)}, "
-            f"search {searched}"
+            f"classifier self-check failed: h0 formula {h0}, "
+            f"axis walk {walked}"
         )
+    reduced = beta / Fraction(n) ** h0
+    k, j = transitive_pair(reduced, l, n)
+    m = 1
+    for p, _ in _prime_signature(n).primes:
+        m *= p ** p_valuation(reduced, p)
     if m * j != n ** (l * k):
         raise AssertionError(
             f"classifier self-check failed: m * j = {m * j}, "

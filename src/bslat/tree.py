@@ -45,6 +45,7 @@ from .exactnum import (
     _prime_signature,
     format_rational,
     in_ball,
+    integral_level,
     is_ring_unit,
     nadic_residue,
     p_valuation,
@@ -316,9 +317,7 @@ def _act_elliptic_power(
     """
     n = v.n
     denominator = math.lcm(v.c.denominator, map_.beta.denominator)
-    t = max(0, -v.h)
-    while n**t % denominator:
-        t += 1
+    t = max(-v.h, integral_level(Fraction(1, denominator), n))
     scale, modulus = n**t, n ** (v.h + t)
     a = int(nadic_residue(map_.u, v.h + t, n))
     b = int(map_.beta * scale) % modulus

@@ -5,10 +5,21 @@ from hypothesis import given, strategies as st
 
 from bslat import bsgroup as bs
 from bslat.errors import BaseMismatch, InvalidGenerator, InvalidParams, ParseError
+from bslat.exactnum import smooth_divisors
 
 
 def w(N, text):
     return bs.BSWord.from_text(N, text)
+
+
+def stepwise_normal_form(inv):
+    # the library's loop before x was read off the valuations: raise x one
+    # step at a time until N**x * c is an integer and x + h >= 0
+    x = 0
+    while (Fraction(inv.N) ** x * inv.c).denominator != 1 or x + inv.h < 0:
+        x += 1
+    y = int(Fraction(inv.N) ** x * inv.c)
+    return bs.BSNormalForm(inv.N, x, y, x + inv.h)
 
 
 class TestParsing:
@@ -66,6 +77,26 @@ class TestNormalize:
     def test_idempotent(self):
         nf = bs.normalize(w(2, "b^-2 a^3 b"))
         assert bs.normal_form_of(nf.invariant()) == nf
+
+    @given(
+        data=st.data(),
+        N=st.sampled_from([2, 3, 4, 6, 10, 12]),
+        h=st.integers(-8, 8),
+        y=st.integers(-500, 500),
+    )
+    def test_matches_stepwise_loop(self, data, N, h, y):
+        # every denominator in Z[1/N] up to N**6, prime powers included
+        d = data.draw(st.sampled_from(smooth_divisors(N, 6)))
+        inv = bs.AffineInvariant(N, h, Fraction(y, d))
+        assert bs.normal_form_of(inv) == stepwise_normal_form(inv)
+
+    def test_self_check_names_both_values(self, monkeypatch):
+        monkeypatch.setattr(bs, "integral_level", lambda c, N: 0)
+        with pytest.raises(AssertionError) as failure:
+            bs.normal_form_of(bs.AffineInvariant(2, 0, Fraction(1, 2)))
+        message = str(failure.value)
+        assert message.startswith("normal form self-check failed")
+        assert "x=0, y=0, z=0" in message and "c=Fraction(1, 2)" in message
 
     def test_invariant_enforced(self):
         with pytest.raises(InvalidParams):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bslat import cli
+from bslat import cli, exactnum
 from bslat.cli import main
 from bslat.lattice import standard_embedding
 
@@ -647,6 +647,53 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("cone vertices; cap is 4096\n")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bs", "normalize", "--N", "2", "a b^-30000"], 3),
+            (["bs", "collins", "--N", "2", "C", "b^20000"], 3),
+            (["bs", "normalize", "--N", "2", "a^" + "9" * 5000], 2),
+            (["bs", "normalize", "--N", "2", "b^-99999999 a"], 3),
+            (["bs", "mult", "--N", "2", "a", "b^-99999999 a"], 3),
+            # heights pass; y = (10**4290 - 1) * 2**7000 has 6,398 digits
+            (["bs", "normalize", "--N", "2",
+              f"b^7000 a^{'9' * 4290} b^-7000"], 3),
+        ],
+    )
+    def test_huge_words_are_refused_at_once(self, argv, code, capsys):
+        start = time.perf_counter()
+        got, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_classify_with_huge_multiplier(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            ["embed", "classify", "--n", "2", "--l", "1", "--s", "1",
+             "--m", str(2**3000)],
+            capsys,
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (0, "s = 1\nm = 1\nh0 = 3000\nj = 1\nk = 0\n")
+
+    def test_failed_self_check_exits_4(self, monkeypatch, capsys):
+        # both commands run the one literal search in exactnum
+        monkeypatch.setattr(
+            exactnum, "_search_pair", lambda beta, l, n: (5, 7)
+        )
+        for argv, formula in [
+            (["embed", "classify", "--n", "2", "--l", "1", "--s", "1",
+              "--m", "3"], (0, 1)),
+            (["lab", "trans-search", "--n", "6", "--beta", "4"], (2, 9)),
+        ]:
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (4, "")
+            assert err == (
+                "error: exponent self-check failed: formula (k, j) = "
+                f"{formula}, search (5, 7)\n"
+            )
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

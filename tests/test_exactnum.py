@@ -1,7 +1,9 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bslat import exactnum as xn
 from bslat.errors import (
@@ -26,6 +28,34 @@ def naive_p_valuation(q: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def naive_coprime_part(x: int, n: int) -> int:
+    for p, _ in xn.PrimeSignature.of(n).primes:
+        while x % p == 0:
+            x //= p
+    return x
+
+
+def orbit_size(shift: Fraction, n: int, level: int) -> int:
+    # labels of the level that repeated shifts reach from label 0
+    r, size = int(xn.nadic_residue(shift, level, n)), n**level
+    return len({step * r % size for step in range(size)})
+
+
+def brute_transitive_pair(beta: Fraction, l: int, n: int):
+    # the least k, then the least j, for which j copies of the shift by beta
+    # are integral l*k levels up and walk one orbit through all labels of
+    # levels 1 and 2; beta's n-power denominator is at most n**2, so j
+    # divides n**(l*k + 2)
+    for k in itertools.count():
+        scale = Fraction(n) ** (l * k)
+        for j in xn.smooth_divisors(n, l * k + 2):
+            value = j * beta / scale
+            if xn.integral_in_base(value, n) and all(
+                orbit_size(value, n, level) == n**level for level in (1, 2)
+            ):
+                return k, j
 
 
 def naive_in_ball(q: Fraction, h: int, n: int) -> bool:
@@ -116,6 +146,84 @@ class TestValuation:
             return
         assert xn.in_ball(x, h, n) == (xn.valuation_in_base(x, n) >= h)
         assert xn.in_ball(x, h, n) == naive_in_ball(x, h, n)
+
+
+class TestStripping:
+    @settings(max_examples=60)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        unit=st.integers(-(10**6), 10**6).filter(bool),
+        exponent=st.integers(-10_000, 10_000),
+    )
+    def test_valuation_matches_naive(self, p, unit, exponent):
+        q = unit * Fraction(p) ** exponent
+        assert xn.p_valuation(q, p) == naive_p_valuation(q, p)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.sampled_from(BASES),
+        unit=st.integers(-50, 50).filter(bool),
+        coprime=st.sampled_from([1, 7, 11, 49]),
+        up=st.integers(0, 3000),
+        down=st.integers(0, 3000),
+    )
+    def test_units_and_denominators_match_naive(
+        self, n, unit, coprime, up, down
+    ):
+        q = Fraction(unit * n**up, coprime * n**down)
+        num = naive_coprime_part(q.numerator, n)
+        den = naive_coprime_part(q.denominator, n)
+        assert xn.smooth_denominator(q, n) == (den == 1)
+        assert xn.is_ring_unit(q, n) == (abs(num) == 1 and den == 1)
+
+    def test_long_valuation_is_fast(self):
+        start = time.perf_counter()
+        assert xn.p_valuation(Fraction(1, 2**50000), 2) == -50000
+        assert xn.p_valuation(Fraction(3**40000, 7), 3) == 40000
+        assert time.perf_counter() - start < 0.1
+
+
+class TestExponentCore:
+    @given(x=rationals, n=st.sampled_from(BASES), l=st.integers(1, 3))
+    def test_integral_level_is_least(self, x, n, l):
+        t = xn.integral_level(x, n, l)
+        assert xn.integral_in_base(x * Fraction(n) ** (l * t), n)
+        if t > 0:
+            below = x * Fraction(n) ** (l * (t - 1))
+            assert not xn.integral_in_base(below, n)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.sampled_from(BASES),
+        l=st.integers(1, 3),
+        num=st.integers(-300, 300).filter(bool),
+        down=st.integers(0, 2),
+        coprime=st.sampled_from([1, 7, 11, 13]),
+    )
+    def test_transitive_pair_matches_brute_force(
+        self, n, l, num, down, coprime
+    ):
+        beta = Fraction(num, coprime * n**down)
+        assert xn.transitive_pair(beta, l, n) == brute_transitive_pair(
+            beta, l, n
+        )
+
+    def test_examples(self):
+        assert xn.transitive_pair(4, 1, 6) == (2, 9)
+        assert xn.transitive_pair(Fraction(1, 3), 1, 2) == (0, 1)
+        assert xn.transitive_pair(Fraction(3, 4), 2, 2) == (0, 4)
+        assert xn.integral_level(Fraction(1, 48), 12) == 2
+        assert xn.integral_level(Fraction(1, 8), 4, l=2) == 1
+        assert xn.integral_level(0, 5) == 0
+
+    def test_self_check_names_both_values(self, monkeypatch):
+        monkeypatch.setattr(xn, "_search_pair", lambda beta, l, n: (5, 7))
+        with pytest.raises(AssertionError) as failure:
+            xn.transitive_pair(4, 1, 6)
+        assert str(failure.value) == (
+            "exponent self-check failed: formula (k, j) = (2, 9), "
+            "search (5, 7)"
+        )
 
 
 class TestUnits:

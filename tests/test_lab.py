@@ -22,12 +22,20 @@ from bslat.errors import (
     TooLarge,
     ZeroTranslation,
 )
-from bslat.exactnum import NInvertible, smooth_divisors, unit_in_base
+from bslat.exactnum import (
+    NInvertible,
+    PrimeSignature,
+    p_valuation,
+    smooth_divisors,
+    transitive_pair,
+    unit_in_base,
+)
 from bslat.lab import (
     LemmaReport,
     SIZE_CAP,
     LevelPermGroup,
     _abelian_search_order,
+    _collapse_level,
     _generated,
     _padded,
     _shift_element,
@@ -321,6 +329,32 @@ class TestCentralizerBoundReport:
             centralizer_bound_report(2, 2, 4)
         with pytest.raises(InvalidParams):
             centralizer_bound_report(2, 1, 2)
+
+
+class TestCollapseLevel:
+    @staticmethod
+    def per_prime_formula(n, m):
+        # the lab's own formula before it moved into exactnum
+        return max(
+            [0]
+            + [
+                -(-p_valuation(m, p) // e)
+                for p, e in PrimeSignature.of(n).primes
+                if m % p == 0
+            ]
+        )
+
+    @given(
+        st.sampled_from([2, 3, 4, 6, 10, 12]),
+        st.integers(1, 10**6),
+    )
+    def test_matches_per_prime_formula(self, n, m):
+        assert _collapse_level(n, m) == self.per_prime_formula(n, m)
+        assert _collapse_level(n, m) == transitive_pair(m, 1, n)[0]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(InvalidParams):
+            _collapse_level(2, 0)
 
 
 class TestTransitivitySearch:

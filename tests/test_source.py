@@ -1,7 +1,8 @@
 """Rules on the library source itself.
 
 Self-checks must survive ``python -O``, which strips ``assert`` statements,
-so every check in ``src/bslat`` raises explicitly instead.
+so every check in ``src/bslat`` raises explicitly instead.  The literal
+(k, j) search exists once, in ``exactnum``.
 """
 
 import ast
@@ -19,5 +20,25 @@ def test_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_literal_search_lives_in_exactnum():
+    # smooth_divisors is the candidate pool of the one literal (k, j)
+    # search; a second module reaching for it would fork that search
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "exactnum.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id == "smooth_divisors")
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "smooth_divisors"
+        )
+        or (
+            isinstance(node, ast.alias) and node.name == "smooth_divisors"
+        )
     ]
     assert found == []
