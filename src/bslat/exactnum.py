@@ -19,6 +19,7 @@ exponent arithmetic behind the lattice invariant (s, m).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,15 +197,37 @@ def integral_level(x, n: int, l: int = 1) -> int:
     return max(0, *(-(p_valuation(q, p) // (l * e)) for p, e in primes))
 
 
+SEARCH_LEVEL_CAP = 64
+SEARCH_BUDGET = 20_000
+
+
 def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
     """Least k >= 0, then least n-smooth j, with j * beta / n**(l*k) a unit
     of Z_n: j copies of the shift by the nonzero beta act transitively
     forever from l*k levels up.  The closed form k = integral_level(1/beta),
-    j = prod p**(l*k*e - v_p(beta)) must agree with the literal search."""
+    j = prod p**(l*k*e - v_p(beta)) must agree with the literal search,
+    which stops below level SEARCH_LEVEL_CAP: TooLarge unless it reaches k
+    within SEARCH_BUDGET candidates j."""
     q = _fraction(beta)
     k = integral_level(1 / q, n, l)
+    if k >= SEARCH_LEVEL_CAP:
+        raise TooLarge(
+            f"the (k, j) search stops below k = {SEARCH_LEVEL_CAP}; "
+            f"the formula gives k = {k}"
+        )
+    primes = _prime_signature(n).primes
+    spread = max(abs(p_valuation(q, p)) for p, _ in primes)
+    candidates = sum(  # the divisors of n**(l*level + spread + 1) it scans
+        math.prod((l * level + spread + 1) * e + 1 for _, e in primes)
+        for level in range(k + 1)
+    )
+    if candidates > SEARCH_BUDGET:
+        raise TooLarge(
+            f"the (k, j) search needs up to {candidates} candidates to reach "
+            f"k = {k}; budget is {SEARCH_BUDGET}"
+        )
     j = 1
-    for p, e in _prime_signature(n).primes:
+    for p, e in primes:
         j *= p ** (l * k * e - p_valuation(q, p))
     searched = _search_pair(q, l, n)
     if searched != (k, j):
@@ -216,11 +239,12 @@ def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
 
 
 def _search_pair(beta: Fraction, l: int, n: int):
-    """Literal transitive_pair: for k = 0, 1, ..., 63 try the divisors of a
-    power of n in increasing order; None when nothing is found."""
+    """Literal transitive_pair: for k = 0, 1, ... below SEARCH_LEVEL_CAP try
+    the divisors of n**(l*k + spread + 1) in increasing order; None when
+    nothing is found."""
     primes = _prime_signature(n).primes
     spread = max(abs(p_valuation(beta, p)) for p, _ in primes)
-    for k in range(64):
+    for k in range(SEARCH_LEVEL_CAP):
         scale = Fraction(n) ** (l * k)
         for j in smooth_divisors(n, l * k + spread + 1):
             if unit_in_base(j * beta / scale, n):

@@ -34,7 +34,6 @@ from .exactnum import (
     p_valuation,
     parse_rational,
     transitive_pair,
-    truncated_inverse,
     valuation_in_base,
 )
 from .isometry import (
@@ -45,12 +44,12 @@ from .isometry import (
 )
 from .tree import (
     BallAffineMap,
-    LevelPermAutomorphism,
     PartialTreeMap,
     TreeVertex,
     axis_vertex,
     build_conjugator,
     fixes,
+    restrict_to_up,
 )
 
 
@@ -345,11 +344,11 @@ def straighten(
 
     Requires the embedding to be in transitively-forever position (m = 1
     and h0 = 0, i.e. the tree translation amount of imgA is a Z_n-unit)
-    with the standard stable letter.  The seed automorphism multiplies the
-    labels above the root by the inverse of that unit, level by level;
-    build_conjugator extends it along the axis.  The real components are
-    untouched (they are matched by the ambient real scaling, not by a tree
-    conjugation).
+    with the standard stable letter.  The seed automorphism, the cone
+    restriction of x -> x / beta, multiplies the labels above the root by
+    the inverse of that unit; build_conjugator extends it along the axis.
+    The real components are untouched (they are matched by the ambient real
+    scaling, not by a tree conjugation).
     """
     _require_valid(spec)
     if depth < 1:
@@ -367,14 +366,8 @@ def straighten(
             "stable letter is not the standard scaling; conjugate the "
             "embedding into standard position first"
         )
-    beta = spec.imgA.tree.beta
-    seed_depth = depth + l - 1
-    perms = []
-    for level in range(1, seed_depth + 1):
-        size = n**level
-        factor = truncated_inverse(beta, level, n).residue
-        perms.append(tuple((y * factor) % size for y in range(size)))
-    seed = LevelPermAutomorphism(n, tuple(perms))
+    inverse = BallAffineMap(n, 0, 1 / spec.imgA.tree.beta, 0)
+    seed = restrict_to_up(inverse, TreeVertex.root(n), depth + l - 1)
     return build_conjugator(standard_b, standard_b, seed, window, depth)
 
 

@@ -39,7 +39,6 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import (
-    INFINITY,
     NInvertible,
     TruncatedNAdic,
     _prime_signature,
@@ -51,7 +50,6 @@ from .exactnum import (
     p_valuation,
     parse_rational,
     smooth_denominator,
-    unit_in_base,
     valuation_in_base,
 )
 
@@ -102,14 +100,6 @@ class TreeVertex:
         # dropping one level forgets the top digit of the center
         return TreeVertex(
             self.n, self.h - 1, nadic_residue(self.c, self.h - 1, self.n)
-        )
-
-    def child(self, digit: int) -> "TreeVertex":
-        """The upward neighbor whose new top digit is ``digit``."""
-        if not 0 <= digit < self.n:
-            raise InvalidParams(f"digit {digit} outside [0, {self.n})")
-        return TreeVertex(
-            self.n, self.h + 1, self.c + Fraction(self.n) ** self.h * digit
         )
 
     def is_above(self, other: "TreeVertex") -> bool:
@@ -244,9 +234,6 @@ class BallAffineMap:
     def __call__(self, x):
         return self.u * _as_fraction(x, self.n, "x") + self.beta
 
-    def is_elliptic(self) -> bool:
-        return self.h == 0
-
     def hyperbolic_fixed_point(self) -> Fraction:
         """The rational fixed point x* = beta / (1 - u) of a hyperbolic map.
 
@@ -292,16 +279,9 @@ def act_power(map_: BallAffineMap, k: int, v: TreeVertex) -> TreeVertex:
         raise BaseMismatch("map and vertex over different bases")
     if map_.h == 0:
         return _act_elliptic_power(map_, k, v)
-    return _moved(v, k * map_.h, *map_._power_terms(abs(k)), k < 0)
-
-
-def _moved(
-    v: TreeVertex, height_change: int, scale, shift, inverse: bool
-) -> TreeVertex:
-    """The image of v under x -> scale*x + shift (its preimage when
-    ``inverse``), a vertex height_change levels away."""
-    center = (v.c - shift) / scale if inverse else scale * v.c + shift
-    return TreeVertex.of(v.n, v.h + height_change, center)
+    scale, shift = map_._power_terms(abs(k))
+    center = (v.c - shift) / scale if k < 0 else scale * v.c + shift
+    return TreeVertex.of(v.n, v.h + k * map_.h, center)
 
 
 def _act_elliptic_power(
@@ -358,16 +338,6 @@ def axis_vertex(map_: BallAffineMap, at_height: int) -> TreeVertex:
     )
 
 
-def axis_meet_height(x_star: Fraction, v: TreeVertex):
-    """Height at which the downward chain from v joins the axis through x*.
-
-    Returns min(h_v, largest j with c - x* in n**j * Z_n); INFINITY never
-    escapes (a vertex on the axis meets it at its own height).
-    """
-    ball_val = valuation_in_base(v.c - x_star, v.n)
-    return v.h if ball_val is INFINITY else min(v.h, ball_val)
-
-
 def is_transitive_on_up(map_: BallAffineMap, w: TreeVertex, level: int) -> bool:
     """Whether the cyclic group of an elliptic map fixing w acts transitively
     on the n**level vertices at relative ``level`` above w."""
@@ -411,16 +381,6 @@ def _label_step(
             f"closed form {stepped}, act {acted}"
         )
     return a, d
-
-
-def transitive_forever(beta, w: TreeVertex) -> bool:
-    """Exact form of transitivity at every level simultaneously.
-
-    The translation by beta fixing w is transitive on every level above w iff
-    beta / n**h_w is a unit of Z_n.
-    """
-    value = _as_fraction(beta, w.n, "beta")
-    return unit_in_base(value / Fraction(w.n) ** w.h, w.n)
 
 
 @dataclass(frozen=True)
@@ -614,6 +574,15 @@ class PartialTreeMap:
                     f"parent link broken at {source}"
                 )
 
+    @staticmethod
+    def of_valid_pairs(n: int, pairs) -> "PartialTreeMap":
+        """Trusted: the pairs must already be certified and in canonical
+        source order (build_conjugator), so nothing is sorted or checked."""
+        g = object.__new__(PartialTreeMap)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "pairs", tuple(pairs))
+        return g
+
     @property
     def domain(self) -> tuple[TreeVertex, ...]:
         return tuple(source for source, _ in self.pairs)
@@ -629,16 +598,6 @@ class PartialTreeMap:
 
     def __contains__(self, v: TreeVertex):
         return any(source == v for source, _ in self.pairs)
-
-
-def window_vertices(n: int, x_star: Fraction, low: int, high: int, depth: int):
-    """All vertices with height in [low, high] within tree-distance
-    ``depth`` of the axis through x*, in canonical order."""
-    for h in range(low, high + 1):
-        base = Fraction(n) ** (h - depth)
-        anchor = nadic_residue(x_star, h - depth, n)
-        for y in range(n**depth):
-            yield TreeVertex(n, h, anchor + base * y)
 
 
 def build_conjugator(
@@ -658,79 +617,108 @@ def build_conjugator(
     g = b o g o b'^{-1}, one axis segment at a time; the result contains
     every vertex of height in [-window*l, window*l] within tree-distance
     ``depth`` of the axis.
+
+    On integers: (h, w), w in Z/n**depth, is the ball x* + n**(h - depth) *
+    (w + n**depth * Z_n).  b and b' fix x*, so b**k takes it to (h + k*l,
+    r**k * w) with r = u / n**l mod n**depth, and b' with its own r.
     """
     if b.n != b_prime.n:
         raise BaseMismatch("maps over different bases")
     n = b.n
     if b.h != b_prime.h:
-        raise HeightMismatch(
-            f"height changes differ: {b.h} vs {b_prime.h}"
-        )
+        raise HeightMismatch(f"height changes differ: {b.h} vs {b_prime.h}")
     length = b.h
     if length < 1:
         raise HeightMismatch("need height change >= 1")
-    x_b = b.hyperbolic_fixed_point()
+    x_star = b.hyperbolic_fixed_point()
     x_bp = b_prime.hyperbolic_fixed_point()
-    if x_b != x_bp:
-        split = valuation_in_base(x_b - x_bp, n) + 1
+    if x_star != x_bp:
+        split = valuation_in_base(x_star - x_bp, n) + 1
         raise AxisMismatch(
-            f"x* = {format_rational(x_b)} vs {format_rational(x_bp)} "
+            f"x* = {format_rational(x_star)} vs {format_rational(x_bp)} "
             f"differ at height {split}"
         )
-    x_star = x_b
     if g0.n != n:
         raise BaseMismatch("g0 over a different base")
     if g0.depth < depth + length - 1:
-        raise InvalidParams(
-            f"g0 depth {g0.depth} < {depth} + {length} - 1"
-        )
-    anchor = TreeVertex(n, 0, nadic_residue(x_star, 0, n))
+        raise InvalidParams(f"g0 depth {g0.depth} < {depth} + {length} - 1")
+    # axis[level]: the label of the axis vertex at level above height 0
+    origin = nadic_residue(x_star, 0, n)
+    axis = [
+        int(nadic_residue(x_star, level, n) - origin)
+        for level in range(g0.depth + 1)
+    ]
     for level in range(1, g0.depth + 1):
-        axis_label = label_above(
-            anchor, TreeVertex(n, level, nadic_residue(x_star, level, n))
-        )
-        if g0.apply(level, axis_label) != axis_label:
-            raise DoesNotFix(
-                f"g0 moves the axis label at level {level}"
-            )
-    pairs = []
-    powers = {}
-    for v in window_vertices(n, x_star, -window * length, window * length, depth):
-        meet = axis_meet_height(x_star, v)
-        if meet == v.h:
-            pairs.append((v, v))
-            continue
-        segment = meet // length
-        if segment not in powers:
-            powers[segment] = (
-                b._power_terms(abs(segment)),
-                b_prime._power_terms(abs(segment)),
-            )
-        b_terms, b_prime_terms = powers[segment]
-        # b'^-segment pulls v back to the seed's cone, b^segment pushes out
-        pulled = _moved(v, -segment * length, *b_prime_terms, segment > 0)
-        level = pulled.h - anchor.h
-        relabeled = vertex_above(
-            anchor, level, g0.apply(level, label_above(anchor, pulled))
-        )
-        pairs.append(
-            (v, _moved(relabeled, segment * length, *b_terms, segment < 0))
-        )
-    return PartialTreeMap(n, tuple(pairs))
+        if g0.apply(level, axis[level]) != axis[level]:
+            raise DoesNotFix(f"g0 moves the axis label at level {level}")
+    size = n**depth
+    unit_b, unit_bp = (
+        int(nadic_residue(f.u / Fraction(n) ** length, depth, n))
+        for f in (b, b_prime)
+    )
+    # shared[w]: the largest i <= depth with n**i | w, so (h, w) meets the
+    # axis at height h - depth + shared[w]
+    shared = [depth] * size
+    for level in range(depth):
+        for w in range(n**level, size, n**level):
+            shared[w] = level
+    rows, built, pairs = {}, {}, []
+    for h in range(-window * length, window * length + 1):
+        anchor = nadic_residue(x_star, h - depth, n)
+        step = Fraction(n) ** (h - depth)
+        # the label of the axis vertex at h above the one at h - depth
+        shift = int((nadic_residue(x_star, h, n) - anchor) / step)
+        built[h] = [
+            TreeVertex(n, h, anchor + step * ((w + shift) % size))
+            for w in range(size)
+        ]
+        row = rows[h] = [0] * size
+        for w in range(1, size):
+            segment = (h - depth + shared[w]) // length
+            level = h - segment * length
+            # b'**-segment pulls (h, w) back to the label axis + n**(level -
+            # depth) * w above the height-0 axis vertex, g0 relabels it and
+            # b**segment pushes it out.  Both scalings are exact: the pulled
+            # vertex and its image meet the axis at max(0, level - depth) up
+            up, down = n ** max(level - depth, 0), n ** max(depth - level, 0)
+            pulled = pow(unit_bp, -segment, size) * w % size * up // down
+            label = (axis[level] + pulled) % n**level
+            image = (g0.apply(level, label) - axis[level]) % n**level
+            row[w] = pow(unit_b, segment, size) * (image * down // up) % size
+        # canonical order: by label y = w + shift above the axis at h - depth
+        at_h = [(built[h][w], built[h][row[w]]) for w in range(size)]
+        pairs += at_h[size - shift:] + at_h[:size - shift]
+    _certify_window(rows, built, n, length, unit_b, unit_bp)
+    return PartialTreeMap.of_valid_pairs(n, pairs)
 
 
-def conjugation_failures(
-    g: PartialTreeMap, b: BallAffineMap, b_prime: BallAffineMap
-) -> list[TreeVertex]:
-    """Vertices v in the domain with g(b'(v)) != b(g(v)), skipping those
-    where b'(v) leaves the domain."""
-    lookup = dict(g.pairs)
-    failures = []
-    for v, gv in g.pairs:
-        moved = act(b_prime, v)
-        if moved in lookup and lookup[moved] != act(b, gv):
-            failures.append(v)
-    return failures
+def _certify_window(rows, built, n: int, length: int, unit_b, unit_bp):
+    """Raise AssertionError naming a vertex v and two images unless the
+    window map g is injective, keeps parent links and has g(b'(v)) = b(g(v))
+    wherever b'(v) is in the window.  g(h, w) = (h, rows[h][w]) keeps
+    heights; (h, w) is built[h][w], with parent (h - 1, n*w) and b'-image
+    (h + l, unit_bp * w)."""
+    for h, row in rows.items():
+        size, vertex = len(row), built[h]
+        if len(set(row)) < size:
+            w = next(w for w, image in enumerate(row) if row.index(image) < w)
+            raise AssertionError(
+                f"window map not injective at {vertex[w]}: it and "
+                f"{vertex[row.index(row[w])]} both go to {vertex[row[w]]}"
+            )
+        for other, move, move_image, name, name_image in (
+            (h - 1, n, n, "parent", "parent"),
+            (h + length, unit_bp, unit_b, "b'", "b"),
+        ):
+            for w, image in enumerate(row if other in rows else ()):
+                got = rows[other][move * w % size]
+                want = move_image * image % size
+                if got != want:
+                    raise AssertionError(
+                        f"window self-check failed at {vertex[w]}: "
+                        f"g({name}(v)) = {built[other][got]}, "
+                        f"{name_image}(g(v)) = {built[other][want]}"
+                    )
 
 
 def subtree_dot(
@@ -799,8 +787,3 @@ def enumerate_cone_tops(n: int, depth: int):
         )
         yield from sorted(lift.translate(table) for table in kernel)
 
-
-def enumerate_cone_automorphisms(n: int, depth: int):
-    """All LevelPermAutomorphisms of the given depth, in canonical order."""
-    for top in enumerate_cone_tops(n, depth):
-        yield LevelPermAutomorphism.of_valid_top(n, top)

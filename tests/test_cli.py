@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bslat import cli, exactnum
+from bslat import cli, exactnum, tree
 from bslat.cli import main
 from bslat.lattice import standard_embedding
 
@@ -411,6 +411,26 @@ class TestEmbed:
         }
         assert moved[(2, "1")] == "3"
 
+    def test_straighten_failed_certificate_exits_4(self, monkeypatch, capsys):
+        real_apply = tree.LevelPermAutomorphism.apply
+        monkeypatch.setattr(
+            tree.LevelPermAutomorphism, "apply",
+            lambda self, level, label: 0 if (level, label) == (2, 1)
+            else real_apply(self, level, label),
+        )
+        code, out, err = run(
+            [
+                "embed", "straighten", "--n", "2", "--l", "1",
+                "--s", "1", "--m", "3", "--depth", "2",
+            ],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: window map not injective at (-2, 1/16): it and (-2, 0) "
+            "both go to (-2, 0)\n"
+        )
+
     def test_straighten_rejects_shifted_class(self, capsys):
         code, _, err = run(
             [
@@ -694,6 +714,25 @@ class TestHarness:
                 "error: exponent self-check failed: formula (k, j) = "
                 f"{formula}, search (5, 7)\n"
             )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "classify", "--n", "6", "--l", "1", "--s", "1",
+             "--m", str(2**100)],
+            ["lab", "trans-search", "--n", "2", "--beta", str(2**100),
+             "--depth", "0"],
+            ["embed", "classify", "--n", "6", "--l", "1", "--s", "1",
+             "--m", str(2**60)],
+        ],
+    )
+    def test_search_past_its_budget_exits_3(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the (k, j) search ")
+        assert err.count("\n") == 1
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -12,6 +12,7 @@ from bslat.errors import (
     NotDivisible,
     NotInvertible,
     ParseError,
+    TooLarge,
 )
 
 BASES = [2, 3, 4, 6, 10, 12]
@@ -215,6 +216,36 @@ class TestExponentCore:
         assert xn.integral_level(Fraction(1, 48), 12) == 2
         assert xn.integral_level(Fraction(1, 8), 4, l=2) == 1
         assert xn.integral_level(0, 5) == 0
+
+    def test_search_refused_past_level_cap_or_budget(self):
+        with pytest.raises(TooLarge, match="the formula gives k = 100"):
+            xn.transitive_pair(2**100, 1, 6)
+        with pytest.raises(TooLarge, match="535214 candidates"):
+            xn.transitive_pair(2**60, 1, 6)
+        assert xn.transitive_pair(2**60, 1, 2) == (60, 1)
+
+    @pytest.mark.parametrize(
+        "beta, l, n",
+        [
+            (2**19, 1, 6),
+            (4, 1, 6),
+            (Fraction(1, 3), 2, 12),
+            (Fraction(3, 4), 2, 2),
+        ],
+    )
+    def test_budget_counts_the_search_candidates(self, monkeypatch, beta, l, n):
+        pair = xn.transitive_pair(beta, l, n)
+        primes = xn.PrimeSignature.of(n).primes
+        spread = max(abs(xn.p_valuation(beta, p)) for p, _ in primes)
+        literal = sum(
+            len(xn.smooth_divisors(n, l * level + spread + 1))
+            for level in range(pair[0] + 1)
+        )
+        monkeypatch.setattr(xn, "SEARCH_BUDGET", literal)
+        assert xn.transitive_pair(beta, l, n) == pair
+        monkeypatch.setattr(xn, "SEARCH_BUDGET", literal - 1)
+        with pytest.raises(TooLarge, match=f"up to {literal} candidates"):
+            xn.transitive_pair(beta, l, n)
 
     def test_self_check_names_both_values(self, monkeypatch):
         monkeypatch.setattr(xn, "_search_pair", lambda beta, l, n: (5, 7))

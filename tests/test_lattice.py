@@ -48,7 +48,13 @@ from bslat.lattice import (
     validate,
     verify_presentation,
 )
-from bslat.tree import BallAffineMap, TreeVertex, act, fixes
+from bslat.tree import (
+    BallAffineMap,
+    LevelPermAutomorphism,
+    TreeVertex,
+    act,
+    fixes,
+)
 
 
 def reduced_multiplier(n: int, m: int) -> bool:
@@ -450,6 +456,35 @@ class TestStraighten:
                 assert lifted == act(spec.imgB.tree, image)
                 checked += 1
         assert checked > 20
+
+    def test_failed_certificate_names_vertex_and_images(self, monkeypatch):
+        real_apply = LevelPermAutomorphism.apply
+        # the seed multiplies labels by 1/3, except one sent onto the axis
+        monkeypatch.setattr(
+            LevelPermAutomorphism, "apply",
+            lambda self, level, label: 0 if (level, label) == (2, 1)
+            else real_apply(self, level, label),
+        )
+        with pytest.raises(AssertionError) as failure:
+            straighten(standard_embedding(2, 1, 1, 3), depth=2)
+        assert str(failure.value) == (
+            "window map not injective at (-2, 1/16): it and (-2, 0) both "
+            "go to (-2, 0)"
+        )
+
+    def test_builds_at_most_two_vertices_per_pair(self, monkeypatch):
+        # the vertex walk built 7,041 validated vertices for these 1,215
+        built = []
+        original = TreeVertex.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(TreeVertex, "__post_init__", counting)
+        g = straighten(standard_embedding(3, 1, 1, 1), depth=5)
+        assert len(g) == 1215
+        assert len(built) <= 2 * len(g)
 
     def test_rejects_shifted_embedding(self):
         with pytest.raises(NotStraightenable, match="m = 1 and h0 = 0"):

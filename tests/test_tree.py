@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bslat.errors import (
     AxisMismatch,
@@ -19,8 +19,15 @@ from bslat.errors import (
     NotMember,
     TooLarge,
 )
-from bslat.exactnum import TruncatedNAdic, nadic_residue
+from bslat.exactnum import (
+    INFINITY,
+    TruncatedNAdic,
+    nadic_residue,
+    unit_in_base,
+    valuation_in_base,
+)
 from bslat.tree import (
+    _certify_window,
     BallAffineMap,
     LevelPermAutomorphism,
     PartialTreeMap,
@@ -28,11 +35,8 @@ from bslat.tree import (
     act,
     act_inverse,
     act_power,
-    axis_meet_height,
     axis_vertex,
     build_conjugator,
-    conjugation_failures,
-    enumerate_cone_automorphisms,
     enumerate_cone_tops,
     fixes,
     is_transitive_on_up,
@@ -40,13 +44,32 @@ from bslat.tree import (
     levelwise_translation,
     restrict_to_up,
     subtree_dot,
-    transitive_forever,
     translation_amount,
     vertex_above,
-    window_vertices,
 )
 
 BASES = st.sampled_from([2, 3, 4, 6])
+
+
+# Oracles and generators that only the tests need.
+
+
+def child(v, digit):
+    """The upward neighbor of v whose new top digit is ``digit``."""
+    return TreeVertex(v.n, v.h + 1, v.c + Fraction(v.n) ** v.h * digit)
+
+
+def transitive_forever(beta, w):
+    """Exact form of transitivity at every level simultaneously: the
+    translation by beta fixing w is transitive on every level above w iff
+    beta / n**h_w is a unit of Z_n."""
+    return unit_in_base(Fraction(beta) / Fraction(w.n) ** w.h, w.n)
+
+
+def enumerate_cone_automorphisms(n, depth):
+    """All cone automorphisms of the given depth, in canonical order."""
+    for top in enumerate_cone_tops(n, depth):
+        yield LevelPermAutomorphism.of_valid_top(n, top)
 
 
 @st.composite
@@ -90,12 +113,12 @@ class TestTreeVertex:
     def test_negative_height_vertices(self):
         v = TreeVertex(2, -1, Fraction(1, 4))
         assert v.parent == TreeVertex(2, -2, Fraction(0))
-        assert v.child(1) == TreeVertex(2, 0, Fraction(3, 4))
+        assert child(v, 1) == TreeVertex(2, 0, Fraction(3, 4))
 
     @given(vertices(), st.data())
     def test_child_then_parent(self, v, data):
         digit = data.draw(st.integers(min_value=0, max_value=v.n - 1))
-        assert v.child(digit).parent == v
+        assert child(v, digit).parent == v
 
     def test_is_above(self):
         root = TreeVertex.root(2)
@@ -625,6 +648,108 @@ class TestPartialTreeMap:
             PartialTreeMap(2, bad)
 
 
+# The vertex walk below is the oracle for the integer build_conjugator: it
+# builds every window vertex, pulls it back to the seed's cone by b'**-segment,
+# relabels it by g0 and pushes it out by b**segment, one TreeVertex per step.
+
+
+def window_vertices(n, x_star, low, high, depth):
+    """All vertices with height in [low, high] within tree-distance
+    ``depth`` of the axis through x*, in canonical order."""
+    for h in range(low, high + 1):
+        base = Fraction(n) ** (h - depth)
+        anchor = nadic_residue(x_star, h - depth, n)
+        for y in range(n**depth):
+            yield TreeVertex(n, h, anchor + base * y)
+
+
+def axis_meet_height(x_star, v):
+    """Height at which the downward chain from v joins the axis through x*:
+    min(h_v, largest j with c - x* in n**j * Z_n)."""
+    ball_val = valuation_in_base(v.c - x_star, v.n)
+    return v.h if ball_val is INFINITY else min(v.h, ball_val)
+
+
+def walked_conjugator(b, b_prime, g0, window, depth):
+    n, length = b.n, b.h
+    x_star = b.hyperbolic_fixed_point()
+    anchor = TreeVertex(n, 0, nadic_residue(x_star, 0, n))
+    pairs = []
+    for v in window_vertices(
+        n, x_star, -window * length, window * length, depth
+    ):
+        meet = axis_meet_height(x_star, v)
+        if meet == v.h:
+            pairs.append((v, v))
+            continue
+        segment = meet // length
+        pulled = act_power(b_prime, -segment, v)
+        level = pulled.h - anchor.h
+        relabeled = vertex_above(
+            anchor, level, g0.apply(level, label_above(anchor, pulled))
+        )
+        pairs.append((v, act_power(b, segment, relabeled)))
+    return PartialTreeMap(n, tuple(pairs))
+
+
+def conjugation_failures(g, b, b_prime):
+    """Vertices v in the domain with g(b'(v)) != b(g(v)), skipping those
+    where b'(v) leaves the domain."""
+    lookup = dict(g.pairs)
+    failures = []
+    for v, gv in g.pairs:
+        moved = act(b_prime, v)
+        if moved in lookup and lookup[moved] != act(b, gv):
+            failures.append(v)
+    return failures
+
+
+@st.composite
+def axis_pairs(draw):
+    """Hyperbolic b and b' with the same height change and axis, and a
+    window depth.  u = n**l * unit may have a denominator coprime to n, so
+    x* need not lie in Z[1/n]; b' = b when t = 0."""
+    n = draw(BASES)
+    l = draw(st.integers(min_value=1, max_value=2))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    while n ** (depth + l - 1) > 64:
+        depth -= 1
+    u = draw(coprime_units(n)) * Fraction(n) ** l
+    beta = Fraction(draw(st.integers(min_value=-40, max_value=40)), n**2)
+    # u' = u - (1 - u) * n**(2l) * t keeps v_p(u') = v_p(u) and fixes x*
+    t = draw(st.integers(min_value=-2, max_value=2)) * Fraction(n) ** (2 * l)
+    b = BallAffineMap(n, l, u, beta)
+    return b, BallAffineMap(n, l, u - (1 - u) * t, beta * (1 + t)), depth
+
+
+@st.composite
+def axis_fixing_seeds(draw, b, depth):
+    """A random cone automorphism of the given depth above the height-0
+    axis vertex of b that fixes every axis label."""
+    n, x_star = b.n, b.hyperbolic_fixed_point()
+    origin = nadic_residue(x_star, 0, n)
+    axis = [
+        int(nadic_residue(x_star, level, n) - origin)
+        for level in range(depth + 1)
+    ]
+    perms, coarse = [], (0,)
+    for level in range(1, depth + 1):
+        size = n ** (level - 1)
+        fine = [0] * (n * size)
+        for y in range(size):
+            digits = draw(st.permutations(range(n)))
+            if y == axis[level - 1]:
+                # keep the axis digit where it is
+                kept = axis[level] // size
+                at = digits.index(kept)
+                digits[at], digits[kept] = digits[kept], digits[at]
+            for digit in range(n):
+                fine[y + size * digit] = coarse[y] + size * digits[digit]
+        perms.append(tuple(fine))
+        coarse = fine
+    return LevelPermAutomorphism(n, tuple(perms))
+
+
 class TestWindow:
     def test_counts_and_membership(self):
         got = list(window_vertices(2, Fraction(0), -2, 2, 2))
@@ -714,6 +839,59 @@ class TestBuildConjugator:
             build_conjugator(
                 b, b, LevelPermAutomorphism.identity(2, 2), 1, 2
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), maps=axis_pairs(), window=st.integers(1, 2))
+    def test_integer_build_matches_vertex_walk(self, data, maps, window):
+        b, b_prime, depth = maps
+        g0 = data.draw(axis_fixing_seeds(b, depth + b.h - 1))
+        g = build_conjugator(b, b_prime, g0, window, depth)
+        walked = walked_conjugator(b, b_prime, g0, window, depth)
+        assert g == walked
+        assert len(g) == (2 * window * b.h + 1) * b.n**depth
+        assert conjugation_failures(g, b, b_prime) == []
+        assert conjugation_failures(walked, b, b_prime) == []
+
+    @pytest.mark.parametrize(
+        "n, wrong, message",
+        [
+            # one label of the seed sent onto the axis label 0
+            (2, {(2, 1): 0},
+             "window map not injective at (-1, 1/8): it and (-1, 0) both "
+             "go to (-1, 0)"),
+            # level 1 swapped, level 2 left as it was
+            (3, {(1, 1): 2, (1, 2): 1},
+             "window self-check failed at (0, 1/9): g(parent(v)) = "
+             "(-1, 2/9), parent(g(v)) = (-1, 1/9)"),
+        ],
+    )
+    def test_certificate_names_vertex_and_images(
+        self, monkeypatch, n, wrong, message
+    ):
+        real_apply = LevelPermAutomorphism.apply
+        monkeypatch.setattr(
+            LevelPermAutomorphism, "apply",
+            lambda self, level, label: wrong.get(
+                (level, label), real_apply(self, level, label)
+            ),
+        )
+        b = BallAffineMap.base_scaling(n)
+        with pytest.raises(AssertionError) as failure:
+            build_conjugator(b, b, LevelPermAutomorphism.identity(n, 2), 1, 2)
+        assert str(failure.value) == message
+
+    def test_certificate_checks_conjugation(self):
+        # injective rows with parent links kept, but g(b'(v)) != b(g(v))
+        with pytest.raises(AssertionError) as failure:
+            _certify_window(
+                {0: [0, 1], 1: [1, 0]},
+                {h: [f"({h}, {w})" for w in (0, 1)] for h in (0, 1)},
+                2, 1, 1, 1,
+            )
+        assert str(failure.value) == (
+            "window self-check failed at (0, 0): g(b'(v)) = (1, 1), "
+            "b(g(v)) = (1, 0)"
+        )
 
     def test_failures_are_detected(self):
         a = BallAffineMap.translation(2, 1)
