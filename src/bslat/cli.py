@@ -26,6 +26,7 @@ from . import bsgroup
 from .errors import InvalidParams, ParseError, TooLarge, ValidationError
 from .exactnum import (
     TruncatedNAdic,
+    format_quotient,
     format_rational,
     parse_rational,
     unit_in_base,
@@ -135,12 +136,12 @@ def _emit(result: CommandResult, as_json: bool) -> int:
         }
         print(json.dumps(record, sort_keys=True))
     else:
-        for line in _human_lines(result.payload):
-            print(line)
+        lines = _human_lines(result.payload)
         if result.status == "ok":
-            for note in result.diagnostics:
-                print(f"note: {note}")
-        else:
+            lines += [f"note: {note}" for note in result.diagnostics]
+        if lines:
+            print("\n".join(lines))
+        if result.status != "ok":
             for note in result.diagnostics:
                 print(f"error: {note}", file=sys.stderr)
     return _EXIT[result.status]
@@ -499,10 +500,16 @@ def _cmd_embed_straighten(args) -> CommandResult:
     _check_cone(spec.n, args.depth, 2 * args.window * spec.l + 1)
     _check_cone(spec.n, args.depth + spec.l - 1)
     mapping = straighten(spec, args.depth, window=args.window)
-    pairs = [
-        {"from": source.to_json(), "to": target.to_json()}
-        for source, target in mapping.pairs
-    ]
+    pairs = []
+    # centers straight from the certified integers, each formatted once
+    for h, a, d, q, targets in mapping.layers:
+        ends = [
+            {"h": h, "c": format_quotient(a + d * y, q)}
+            for y in range(len(targets))
+        ]
+        pairs += [
+            {"from": ends[y], "to": ends[t]} for y, t in enumerate(targets)
+        ]
     return CommandResult(
         "ok", {"n": spec.n, "pair_count": len(pairs), "pairs": pairs}
     )

@@ -28,7 +28,6 @@ from functools import lru_cache
 from .errors import (
     BaseMismatch,
     InvalidParams,
-    NotDivisible,
     NotInvertible,
     ParseError,
     TooLarge,
@@ -385,36 +384,6 @@ class TruncatedNAdic:
         return f"{self.residue} mod {self.base}^{self.precision}"
 
 
-def power_quotient(j: int, k: int, n: int) -> int:
-    """The exact integer x with j * x == n**k.
-
-    Raises NotDivisible when j does not divide n**k (there is then no
-    truncation-exact solution even though 1/j may exist n-adically).
-    """
-    if j < 1 or k < 0:
-        raise InvalidParams("need j >= 1 and k >= 0")
-    _prime_signature(n)
-    target = n**k
-    if target % j != 0:
-        raise NotDivisible(f"{j} does not divide {n}^{k}")
-    return target // j
-
-
-def truncated_inverse(x, precision: int, n: int) -> TruncatedNAdic:
-    """Inverse of a Z_n-unit mod n**precision.
-
-    x may be an int, Fraction or NInvertible; it must be n-adically integral
-    and a unit (NotInvertible otherwise).
-    """
-    value = x.value if isinstance(x, NInvertible) else Fraction(x)
-    if not unit_in_base(value, n):
-        raise NotInvertible(f"{value} is not a unit in Z_{n}")
-    modulus = n**precision
-    residue = nadic_residue(value, precision, n)
-    inv = pow(int(residue), -1, modulus) if modulus > 1 else 0
-    return TruncatedNAdic(base=n, precision=precision, residue=inv)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' (or 'p'), sign on the numerator only."""
     try:
@@ -434,5 +403,21 @@ def format_rational(x) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise TooLarge(f"a rational exceeds {limit} digits") from None
+        raise _too_many_digits() from None
+
+
+def format_quotient(p: int, q: int) -> str:
+    """format_rational(Fraction(p, q)) for q >= 1, reduced by math.gcd
+    without building the Fraction."""
+    common = math.gcd(p, q)
+    try:
+        if common == q:
+            return str(p // q)
+        return f"{p // common}/{q // common}"
+    except ValueError:
+        raise _too_many_digits() from None
+
+
+def _too_many_digits() -> TooLarge:
+    limit = sys.get_int_max_str_digits()
+    return TooLarge(f"a rational exceeds {limit} digits")

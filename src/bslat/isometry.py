@@ -75,17 +75,6 @@ class ArithmeticIsometry:
             tree.n, 1, tree.h, Fraction(0), tree
         )
 
-    @staticmethod
-    def standard_generator_pair(n: int):
-        """The unit translation and the base scaling, acting diagonally."""
-        a = ArithmeticIsometry(
-            n, 1, 0, Fraction(1), BallAffineMap.translation(n, 1)
-        )
-        b = ArithmeticIsometry(
-            n, 1, 1, Fraction(0), BallAffineMap.base_scaling(n)
-        )
-        return a, b
-
     def _check_base(self, other: "ArithmeticIsometry"):
         if other.n != self.n:
             raise BaseMismatch(
@@ -140,9 +129,6 @@ class ArithmeticIsometry:
 
     def is_identity(self) -> bool:
         return self == ArithmeticIsometry.identity(self.n)
-
-    def real_map(self, t):
-        return self.real_slope() * Fraction(t) + self.alpha
 
     def to_json(self) -> dict:
         return {

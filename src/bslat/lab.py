@@ -9,8 +9,10 @@ permutations, composed with bytes.translate.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
@@ -212,10 +214,16 @@ class LevelPermGroup:
         return checked
 
 
+def _power_exceeds(n: int, k: int, cap: int) -> bool:
+    """n**k > cap for n >= 2 and k >= 0; an exponent past the cap's bit
+    length is answered without computing n**k."""
+    return k >= cap.bit_length() or n**k > cap
+
+
 def _feasibility_guard(n: int, k: int):
     if n < 2 or k < 1:
         raise InvalidParams("need n >= 2 and k >= 1")
-    if n**k > TOP_CAP:
+    if _power_exceeds(n, k, TOP_CAP):
         raise TooLarge(
             f"top level has {n}^{k} vertices; cap is {TOP_CAP}"
         )
@@ -400,11 +408,23 @@ def _coerce_base(value, n):
 
 
 def _certification_guard(n: int, depth: int):
-    steps = sum(n**i for i in range(1, depth + 1))
-    if steps > 2 * SIZE_CAP:
-        raise TooLarge(
-            f"orbit certification needs {steps} steps; reduce depth"
-        )
+    """Refuse an orbit certification of more than 2 * SIZE_CAP steps, the
+    sum of n**i over 1 <= i <= depth, naming the count while it is
+    printable.  Once |n| >= 2 the sum has the sign of n**depth and is past
+    2**(4 * limit) > 10**limit when n**depth is, so a depth that far out is
+    refused (or passed, for a negative sum) without computing it.  The
+    base itself is checked after this guard."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    count = f"more than 10^{limit}"
+    if abs(n) < 2 or depth * (abs(n).bit_length() - 1) <= 4 * limit:
+        steps = depth if n == 1 else (n ** (depth + 1) - n) // (n - 1)
+        if steps <= 2 * SIZE_CAP:
+            return
+        with contextlib.suppress(ValueError):
+            count = str(steps)
+    elif n < 0 and depth % 2:
+        return
+    raise TooLarge(f"orbit certification needs {count} steps; reduce depth")
 
 
 def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
@@ -449,7 +469,7 @@ def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
         raise InvalidParams(
             f"{value} is not an n-adic integer for base {base}"
         )
-    if base**depth > SIZE_CAP:
+    if _power_exceeds(base, depth, SIZE_CAP):
         raise TooLarge(f"{base}^{depth} labels per level; reduce depth")
     sums = []
     for i in range(1, depth + 1):

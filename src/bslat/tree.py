@@ -474,11 +474,6 @@ class LevelPermAutomorphism:
             inverted.append(tuple(out))
         return LevelPermAutomorphism(self.n, tuple(inverted))
 
-    def truncate(self, depth: int) -> "LevelPermAutomorphism":
-        if not 0 <= depth <= self.depth:
-            raise InvalidParams(f"depth {depth} outside [0, {self.depth}]")
-        return LevelPermAutomorphism(self.n, self.perms[:depth])
-
     def to_lists(self) -> list:
         return [list(p) for p in self.perms]
 
@@ -574,14 +569,34 @@ class PartialTreeMap:
                     f"parent link broken at {source}"
                 )
 
+    # the integer window of a trusted map; None for a validated one
+    layers = None
+
     @staticmethod
-    def of_valid_pairs(n: int, pairs) -> "PartialTreeMap":
-        """Trusted: the pairs must already be certified and in canonical
-        source order (build_conjugator), so nothing is sorted or checked."""
+    def of_valid_layers(n: int, layers) -> "PartialTreeMap":
+        """Trusted: a window already certified by build_conjugator, as one
+        (h, a, d, q, targets) per height in increasing order.  The source
+        with residue y has center (a + d*y) / q and goes to the one with
+        residue targets[y], so y order is canonical order.  Nothing is
+        checked, and the vertex pairs are built when first read."""
         g = object.__new__(PartialTreeMap)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "pairs", tuple(pairs))
+        object.__setattr__(g, "layers", tuple(layers))
         return g
+
+    def __getattr__(self, name):
+        # reached only while the pairs of a trusted map are not yet built
+        if name != "pairs" or self.layers is None:
+            raise AttributeError(name)
+        pairs = []
+        for h, a, d, q, targets in self.layers:
+            built = [
+                TreeVertex(self.n, h, Fraction(a + d * y, q))
+                for y in range(len(targets))
+            ]
+            pairs += [(built[y], built[t]) for y, t in enumerate(targets)]
+        object.__setattr__(self, "pairs", tuple(pairs))
+        return self.pairs
 
     @property
     def domain(self) -> tuple[TreeVertex, ...]:
@@ -594,6 +609,8 @@ class PartialTreeMap:
         raise NotMember(f"{v} outside the domain")
 
     def __len__(self):
+        if self.layers is not None:
+            return sum(len(layer[-1]) for layer in self.layers)
         return len(self.pairs)
 
     def __contains__(self, v: TreeVertex):
@@ -662,16 +679,15 @@ def build_conjugator(
     for level in range(depth):
         for w in range(n**level, size, n**level):
             shared[w] = level
-    rows, built, pairs = {}, {}, []
+    rows, forms = {}, {}
     for h in range(-window * length, window * length + 1):
         anchor = nadic_residue(x_star, h - depth, n)
         step = Fraction(n) ** (h - depth)
         # the label of the axis vertex at h above the one at h - depth
         shift = int((nadic_residue(x_star, h, n) - anchor) / step)
-        built[h] = [
-            TreeVertex(n, h, anchor + step * ((w + shift) % size))
-            for w in range(size)
-        ]
+        # (h, w) has residue y = w + shift and center (a + d*y) / q
+        q = math.lcm(anchor.denominator, step.denominator)
+        forms[h] = (int(anchor * q), int(step * q), q, shift)
         row = rows[h] = [0] * size
         for w in range(1, size):
             segment = (h - depth + shared[w]) // length
@@ -685,26 +701,36 @@ def build_conjugator(
             label = (axis[level] + pulled) % n**level
             image = (g0.apply(level, label) - axis[level]) % n**level
             row[w] = pow(unit_b, segment, size) * (image * down // up) % size
-        # canonical order: by label y = w + shift above the axis at h - depth
-        at_h = [(built[h][w], built[h][row[w]]) for w in range(size)]
-        pairs += at_h[size - shift:] + at_h[:size - shift]
-    _certify_window(rows, built, n, length, unit_b, unit_bp)
-    return PartialTreeMap.of_valid_pairs(n, pairs)
+
+    def vertex(h, w):
+        a, d, q, shift = forms[h]
+        return TreeVertex(n, h, Fraction(a + d * ((w + shift) % size), q))
+
+    _certify_window(rows, vertex, n, length, unit_b, unit_bp)
+    layers = []
+    for h, (a, d, q, shift) in forms.items():
+        row = rows[h]
+        # canonical order: by residue y, whose label w = y - shift (an index
+        # that wraps round when negative, as 0 <= shift < size)
+        targets = [(row[y - shift] + shift) % size for y in range(size)]
+        layers.append((h, a, d, q, targets))
+    return PartialTreeMap.of_valid_layers(n, layers)
 
 
-def _certify_window(rows, built, n: int, length: int, unit_b, unit_bp):
+def _certify_window(rows, vertex, n: int, length: int, unit_b, unit_bp):
     """Raise AssertionError naming a vertex v and two images unless the
     window map g is injective, keeps parent links and has g(b'(v)) = b(g(v))
     wherever b'(v) is in the window.  g(h, w) = (h, rows[h][w]) keeps
-    heights; (h, w) is built[h][w], with parent (h - 1, n*w) and b'-image
-    (h + l, unit_bp * w)."""
+    heights; vertex(h, w) names (h, w), whose parent is (h - 1, n*w) and
+    b'-image (h + l, unit_bp * w).  Vertices are named only on failure."""
     for h, row in rows.items():
-        size, vertex = len(row), built[h]
+        size = len(row)
         if len(set(row)) < size:
             w = next(w for w, image in enumerate(row) if row.index(image) < w)
             raise AssertionError(
-                f"window map not injective at {vertex[w]}: it and "
-                f"{vertex[row.index(row[w])]} both go to {vertex[row[w]]}"
+                f"window map not injective at {vertex(h, w)}: it and "
+                f"{vertex(h, row.index(row[w]))} both go to "
+                f"{vertex(h, row[w])}"
             )
         for other, move, move_image, name, name_image in (
             (h - 1, n, n, "parent", "parent"),
@@ -715,9 +741,9 @@ def _certify_window(rows, built, n: int, length: int, unit_b, unit_bp):
                 want = move_image * image % size
                 if got != want:
                     raise AssertionError(
-                        f"window self-check failed at {vertex[w]}: "
-                        f"g({name}(v)) = {built[other][got]}, "
-                        f"{name_image}(g(v)) = {built[other][want]}"
+                        f"window self-check failed at {vertex(h, w)}: "
+                        f"g({name}(v)) = {vertex(other, got)}, "
+                        f"{name_image}(g(v)) = {vertex(other, want)}"
                     )
 
 

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from bslat import cli, exactnum, tree
-from bslat.cli import main
-from bslat.lattice import standard_embedding
+from bslat.cli import CommandResult, main
+from bslat.lattice import standard_embedding, straighten
 
 
 def run(argv, capsys):
@@ -431,6 +436,43 @@ class TestEmbed:
             "both go to (-2, 0)\n"
         )
 
+    @pytest.mark.parametrize(
+        "n, l, depth, window", [(3, 1, 2, 2), (2, 2, 3, 1), (6, 1, 1, 3)]
+    )
+    def test_straighten_prints_the_vertex_centers(
+        self, n, l, depth, window, capsys
+    ):
+        argv = [
+            "embed", "straighten", "--n", str(n), "--l", str(l), "--s", "1",
+            "--m", "1", "--depth", str(depth), "--window", str(window),
+        ]
+        code, record, _ = run_json(argv, capsys)
+        assert code == 0
+        mapping = straighten(
+            standard_embedding(n, l, 1, 1), depth, window=window
+        )
+        assert record["payload"]["pairs"] == [
+            {"from": source.to_json(), "to": target.to_json()}
+            for source, target in mapping.pairs
+        ]
+
+    def test_straighten_builds_vertices_only_when_read(self, monkeypatch):
+        built = []
+        real_post_init = tree.TreeVertex.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(tree.TreeVertex, "__post_init__", counting)
+        argv = [
+            "embed", "straighten", "--n", "3", "--l", "1", "--s=1", "--m",
+            "1", "--depth", "5",
+        ]
+        assert main(argv) == 0
+        # 5 heights of 3**5 window vertices, none of them built
+        assert len(built) <= 20
+
     def test_straighten_rejects_shifted_class(self, capsys):
         code, _, err = run(
             [
@@ -734,6 +776,53 @@ class TestHarness:
         assert err.startswith("error: the (k, j) search ")
         assert err.count("\n") == 1
 
+    # each command used to build the power its guard compares with a cap
+    GUARDED = [
+        ["lab", "count-hk", "--n", "2", "--k", "99999999999"],
+        ["lab", "centralizer", "--n", "2", "--k", "99999999999", "--m", "1"],
+        ["lab", "jordan-index", "--n", "2", "--k", "99999999999", "--m", "1"],
+        ["lab", "trans-search", "--n", "2", "--beta", "1",
+         "--depth", "99999999999999"],
+        ["lab", "level-sum", "--n", "2", "--gamma", "1", "--a-v", "1",
+         "--depth", "99999999999999"],
+    ]
+    CHILD = (
+        "import contextlib, io, json, sys, time\n"
+        "from bslat.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    seconds = time.perf_counter() - start\n"
+        "    results.append([code, out.getvalue(), err.getvalue(), seconds])\n"
+        "print(json.dumps(results))\n"
+    )
+
+    def test_lab_guards_refuse_before_they_compute(self):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(self.GUARDED)],
+            capture_output=True, text=True, timeout=30,
+            preexec_fn=limit_memory,
+            env={**os.environ,
+                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == len(self.GUARDED)
+        for argv, (code, out, err, seconds) in zip(self.GUARDED, results):
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "Traceback" not in err
+            assert seconds < 2, argv
+
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
@@ -774,3 +863,47 @@ class TestHarness:
             second = run(argv + ["--json"], capsys)
             assert first == second, argv
 
+
+
+def _emit_line_by_line(result, as_json):
+    """The output loop _emit replaced: one print per line."""
+    if as_json:
+        print(json.dumps({
+            "status": result.status,
+            "payload": result.payload,
+            "diagnostics": list(result.diagnostics),
+        }, sort_keys=True))
+    else:
+        for line in cli._human_lines(result.payload):
+            print(line)
+        if result.status == "ok":
+            for note in result.diagnostics:
+                print(f"note: {note}")
+        else:
+            for note in result.diagnostics:
+                print(f"error: {note}", file=sys.stderr)
+    return cli._EXIT[result.status]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "result",
+    [
+        CommandResult("ok", {}),
+        CommandResult("ok", {}, ("only a note",)),
+        CommandResult("validation_error", {}, ("first", "second")),
+        CommandResult(
+            "internal_error", {"n": 2, "kept": [1, 2]}, ("a note",)
+        ),
+        CommandResult(
+            "ok",
+            {"n": 3, "ok": True, "pairs": [{"from": {"h": 0, "c": "1/3"}}]},
+            ("one", "two"),
+        ),
+    ],
+)
+def test_emit_writes_the_bytes_of_the_per_line_loop(result, as_json, capsys):
+    expected_code = _emit_line_by_line(result, as_json)
+    expected = capsys.readouterr()
+    assert cli._emit(result, as_json) == expected_code
+    assert capsys.readouterr() == expected

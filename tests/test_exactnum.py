@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -16,6 +17,39 @@ from bslat.errors import (
 )
 
 BASES = [2, 3, 4, 6, 10, 12]
+
+
+# Helpers that only the tests need.
+
+
+def power_quotient(j: int, k: int, n: int) -> int:
+    """The exact integer x with j * x == n**k.
+
+    Raises NotDivisible when j does not divide n**k (there is then no
+    truncation-exact solution even though 1/j may exist n-adically).
+    """
+    if j < 1 or k < 0:
+        raise InvalidParams("need j >= 1 and k >= 0")
+    xn.PrimeSignature.of(n)
+    target = n**k
+    if target % j != 0:
+        raise NotDivisible(f"{j} does not divide {n}^{k}")
+    return target // j
+
+
+def truncated_inverse(x, precision: int, n: int) -> xn.TruncatedNAdic:
+    """Inverse of a Z_n-unit mod n**precision.
+
+    x may be an int, Fraction or NInvertible; it must be n-adically integral
+    and a unit (NotInvertible otherwise).
+    """
+    value = x.value if isinstance(x, xn.NInvertible) else Fraction(x)
+    if not xn.unit_in_base(value, n):
+        raise NotInvertible(f"{value} is not a unit in Z_{n}")
+    modulus = n**precision
+    residue = xn.nadic_residue(value, precision, n)
+    inv = pow(int(residue), -1, modulus) if modulus > 1 else 0
+    return xn.TruncatedNAdic(base=n, precision=precision, residue=inv)
 
 
 def naive_p_valuation(q: Fraction, p: int) -> int:
@@ -333,9 +367,9 @@ class TestNInvertible:
 
 class TestPowerQuotient:
     def test_frozen_examples(self):
-        assert xn.power_quotient(4, 3, 2) == 2
+        assert power_quotient(4, 3, 2) == 2
         with pytest.raises(NotDivisible):
-            xn.power_quotient(3, 1, 2)
+            power_quotient(3, 1, 2)
 
     @given(
         n=st.sampled_from(BASES),
@@ -344,11 +378,11 @@ class TestPowerQuotient:
     )
     def test_roundtrip(self, n, k, data):
         j = data.draw(st.sampled_from(_divisors_of_power(n, k)))
-        assert j * xn.power_quotient(j, k, n) == n**k
+        assert j * power_quotient(j, k, n) == n**k
 
     def test_bad_params(self):
         with pytest.raises(InvalidParams):
-            xn.power_quotient(0, 1, 2)
+            power_quotient(0, 1, 2)
 
 
 def _divisors_of_power(n, k):
@@ -363,9 +397,9 @@ def _divisors_of_power(n, k):
 
 class TestTruncatedInverse:
     def test_frozen_examples(self):
-        assert xn.truncated_inverse(3, 3, 2).residue == 3  # 3*3=9=1 mod 8
+        assert truncated_inverse(3, 3, 2).residue == 3  # 3*3=9=1 mod 8
         with pytest.raises(NotInvertible):
-            xn.truncated_inverse(2, 2, 2)
+            truncated_inverse(2, 2, 2)
 
     @given(
         n=st.sampled_from(BASES),
@@ -375,12 +409,12 @@ class TestTruncatedInverse:
     def test_inverse_property(self, n, d, x):
         if not xn.unit_in_base(x, n):
             return
-        inv = xn.truncated_inverse(x, d, n)
+        inv = truncated_inverse(x, d, n)
         assert (x * inv.residue) % n**d == 1 % n**d
 
     def test_fractional_unit(self):
         # 3/5 is a unit in Z_2; its truncated inverse must multiply back to 1
-        inv = xn.truncated_inverse(Fraction(3, 5), 4, 2)
+        inv = truncated_inverse(Fraction(3, 5), 4, 2)
         assert xn.nadic_residue(Fraction(3, 5) * inv.residue, 4, 2) == 1
 
     def test_truncated_residue_levels(self):
@@ -423,3 +457,22 @@ class TestParsing:
             xn.parse_rational("3/0")
         with pytest.raises(ParseError):
             xn.parse_rational("a/b")
+
+    @given(
+        p=st.integers(-(10**30), 10**30),
+        q=st.integers(1, 10**30),
+        scale=st.integers(1, 10**6),
+    )
+    def test_quotient_formats_like_the_fraction(self, p, q, scale):
+        expected = xn.format_rational(Fraction(p, q))
+        assert xn.format_quotient(p * scale, q * scale) == expected
+
+    def test_quotient_past_the_digit_limit(self):
+        huge = 10 ** (2 * sys.get_int_max_str_digits())
+        for p, q in [(huge, 1), (1, huge + 1)]:
+            with pytest.raises(TooLarge) as failure:
+                xn.format_quotient(p, q)
+            with pytest.raises(TooLarge) as reference:
+                xn.format_rational(Fraction(p, q))
+            assert str(failure.value) == str(reference.value)
+        assert xn.format_quotient(huge * 3, huge * 2) == "3/2"

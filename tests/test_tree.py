@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bslat.errors import (
     AxisMismatch,
@@ -22,7 +22,10 @@ from bslat.errors import (
 from bslat.exactnum import (
     INFINITY,
     TruncatedNAdic,
+    format_quotient,
+    format_rational,
     nadic_residue,
+    smooth_denominator,
     unit_in_base,
     valuation_in_base,
 )
@@ -64,6 +67,13 @@ def transitive_forever(beta, w):
     translation by beta fixing w is transitive on every level above w iff
     beta / n**h_w is a unit of Z_n."""
     return unit_in_base(Fraction(beta) / Fraction(w.n) ** w.h, w.n)
+
+
+def truncate(f, depth):
+    """The restriction of a cone automorphism to its first depth levels."""
+    if not 0 <= depth <= f.depth:
+        raise InvalidParams(f"depth {depth} outside [0, {f.depth}]")
+    return LevelPermAutomorphism(f.n, f.perms[:depth])
 
 
 def enumerate_cone_automorphisms(n, depth):
@@ -393,7 +403,7 @@ class TestLevelPermAutomorphism:
 
     def test_truncate(self):
         f = levelwise_translation(TruncatedNAdic(2, 3, 5))
-        assert f.truncate(2) == levelwise_translation(TruncatedNAdic(2, 2, 1))
+        assert truncate(f, 2) == levelwise_translation(TruncatedNAdic(2, 2, 1))
 
     def test_list_round_trip(self):
         f = levelwise_translation(TruncatedNAdic(2, 2, 3))
@@ -750,6 +760,26 @@ def axis_fixing_seeds(draw, b, depth):
     return LevelPermAutomorphism(n, tuple(perms))
 
 
+@st.composite
+def off_lattice_axes(draw):
+    """A hyperbolic b whose fixed point x* lies outside Z[1/n], with l in
+    {1, 2}, and a window depth."""
+    n = draw(BASES)
+    l = draw(st.integers(min_value=1, max_value=2))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    while n ** (depth + l - 1) > 64:
+        depth -= 1
+    unit = draw(
+        st.sampled_from([-5, -3, -1, 1, 3, 5, 7]).filter(
+            lambda r: math.gcd(r, n) == 1
+        )
+    )
+    beta = Fraction(draw(st.integers(min_value=1, max_value=40)), n**2)
+    b = BallAffineMap(n, l, unit * Fraction(n) ** l, beta)
+    assume(not smooth_denominator(b.hyperbolic_fixed_point(), n))
+    return b, depth
+
+
 class TestWindow:
     def test_counts_and_membership(self):
         got = list(window_vertices(2, Fraction(0), -2, 2, 2))
@@ -847,10 +877,36 @@ class TestBuildConjugator:
         g0 = data.draw(axis_fixing_seeds(b, depth + b.h - 1))
         g = build_conjugator(b, b_prime, g0, window, depth)
         walked = walked_conjugator(b, b_prime, g0, window, depth)
-        assert g == walked
+        # the length comes from the integer rows, before any vertex exists
         assert len(g) == (2 * window * b.h + 1) * b.n**depth
+        assert "pairs" not in vars(g)
+        assert g.domain == walked.domain
+        assert g.pairs == walked.pairs
+        for v in walked.domain[:: max(1, len(walked) // 16)]:
+            assert v in g
+            assert g.image_of(v) == walked.image_of(v)
+        assert g == walked
         assert conjugation_failures(g, b, b_prime) == []
         assert conjugation_failures(walked, b, b_prime) == []
+
+    @given(data=st.data(), axis=off_lattice_axes(), window=st.integers(1, 2))
+    def test_integer_centers_format_like_vertex_centers(
+        self, data, axis, window
+    ):
+        b, depth = axis
+        g0 = data.draw(axis_fixing_seeds(b, depth + b.h - 1))
+        g = build_conjugator(b, b, g0, window, depth)
+        heights = [layer[0] for layer in g.layers]
+        assert heights[0] < 0 < heights[-1]
+        from_integers = [
+            (h, format_quotient(a + d * y, q), format_quotient(a + d * t, q))
+            for h, a, d, q, targets in g.layers
+            for y, t in enumerate(targets)
+        ]
+        assert from_integers == [
+            (source.h, format_rational(source.c), format_rational(target.c))
+            for source, target in g.pairs
+        ]
 
     @pytest.mark.parametrize(
         "n, wrong, message",
@@ -885,7 +941,7 @@ class TestBuildConjugator:
         with pytest.raises(AssertionError) as failure:
             _certify_window(
                 {0: [0, 1], 1: [1, 0]},
-                {h: [f"({h}, {w})" for w in (0, 1)] for h in (0, 1)},
+                lambda h, w: f"({h}, {w})",
                 2, 1, 1, 1,
             )
         assert str(failure.value) == (
