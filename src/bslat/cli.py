@@ -25,10 +25,13 @@ from fractions import Fraction
 from . import bsgroup
 from .errors import InvalidParams, ParseError, TooLarge, ValidationError
 from .exactnum import (
+    ORBIT_CONE_CAP,
     TruncatedNAdic,
+    check_printable,
     format_quotient,
     format_rational,
     parse_rational,
+    power_exceeds,
     unit_in_base,
 )
 from .isometry import ArithmeticIsometry
@@ -70,9 +73,6 @@ from .tree import (
     subtree_dot,
     translation_amount,
 )
-
-# Cone sizes above this would make orbit listings useless as terminal output.
-ORBIT_CONE_CAP = 4096
 
 _EXIT = {"ok": 0, "validation_error": 1, "parse_error": 2, "infeasible": 3,
          "internal_error": 4}
@@ -195,24 +195,16 @@ def _obtain_spec(args) -> EmbeddingSpec:
     return standard_embedding(args.n, args.l, args.s, args.m)
 
 
-def _check_printable(n: int, h: int):
-    """Refuse height h when its centers (their denominators, at h < 0) can
-    reach n**|h| >= 10**limit, past the digits Python converts to text."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    # 2**|h| > 10**limit once |h| > 4 * limit: skip the big power
-    if limit and (abs(h) > 4 * limit or n ** abs(h) >= 10**limit):
-        raise TooLarge(f"centers at height {h} can exceed {limit} digits")
-
-
 def _check_cone(n: int, depth: int, copies: int = 1):
-    """Refuse copies * n**depth vertices past ORBIT_CONE_CAP, before any of
-    them is built; a depth past the cap's bit length is refused without
-    computing n**depth."""
-    if n >= 2 and (
-        depth >= ORBIT_CONE_CAP.bit_length()
-        or copies * n**depth > ORBIT_CONE_CAP
+    """Refuse copies * n**depth vertices past ORBIT_CONE_CAP, that is
+    n**depth past ORBIT_CONE_CAP // copies, before any of them is built; a
+    negative depth or count builds none."""
+    if n >= 2 and depth >= 0 and copies >= 1 and power_exceeds(
+        n, depth, ORBIT_CONE_CAP // copies
     ):
-        count = f"{n}^{depth}" if copies == 1 else f"{copies} * {n}^{depth}"
+        count = f"{n}^{depth}"
+        if copies != 1:  # copies grows with --window and l, past printing
+            count = f"{format_rational(copies)} * {count}"
         raise TooLarge(f"{count} cone vertices; cap is {ORBIT_CONE_CAP}")
 
 
@@ -226,13 +218,13 @@ def _parse_vertex(n: int, text: str) -> TreeVertex:
         raise ParseError(
             f"vertex height {head!r} is not an integer"
         ) from None
-    _check_printable(n, height)
+    check_printable(n, height)
     return TreeVertex.of(n, height, parse_rational(tail))
 
 
-def _tree_map(args) -> BallAffineMap:
+def _tree_map(args, n: int) -> BallAffineMap:
     return BallAffineMap(
-        args.n,
+        n,
         args.height,
         parse_rational(args.unit),
         parse_rational(args.beta),
@@ -263,7 +255,7 @@ def _bs_words(N: int, *texts) -> list:
     total |b exponent|: their heights and their images' stay within T + 1."""
     words = [bsgroup.BSWord.from_text(N, text) for text in texts]
     total = sum(abs(e) for w in words for g, e in w.letters if g == "b")
-    _check_printable(N, total)
+    check_printable(N, total)
     return words
 
 
@@ -309,8 +301,8 @@ def _normal_form_record(form) -> dict:
 
 def _cmd_tree_act(args) -> CommandResult:
     vertex = _parse_vertex(args.n, args.vertex)
-    _check_printable(args.n, vertex.h + args.power * args.height)
-    image = act_power(_tree_map(args), args.power, vertex)
+    check_printable(args.n, vertex.h + args.power * args.height)
+    image = act_power(_tree_map(args, args.n), args.power, vertex)
     return CommandResult(
         "ok",
         {
@@ -326,7 +318,7 @@ def _cmd_tree_orbit(args) -> CommandResult:
     if args.depth < 1:
         raise InvalidParams("depth must be >= 1")
     _check_cone(args.n, args.depth)
-    sigma = restrict_to_up(_tree_map(args), vertex, args.depth)
+    sigma = restrict_to_up(_tree_map(args, args.n), vertex, args.depth)
     levels = []
     index_at = []
     for level in range(1, args.depth + 1):
@@ -361,8 +353,8 @@ def _cmd_tree_orbit(args) -> CommandResult:
 
 
 def _cmd_tree_axis(args) -> CommandResult:
-    map_ = _tree_map(args)
-    _check_printable(args.n, args.at_height)
+    map_ = _tree_map(args, args.n)
+    check_printable(args.n, args.at_height)
     vertex = axis_vertex(map_, args.at_height)
     fixed = map_.hyperbolic_fixed_point()
     if args.dot:
@@ -462,12 +454,7 @@ def _cmd_embed_conjugate(args) -> CommandResult:
             1,
             args.height,
             parse_rational(args.alpha),
-            BallAffineMap(
-                spec.n,
-                args.height,
-                parse_rational(args.unit),
-                parse_rational(args.beta),
-            ),
+            _tree_map(args, spec.n),
         )
     moved = conjugate_spec(spec, conjugator)
     return CommandResult(

@@ -14,7 +14,9 @@ are always performed per prime; the coarse quantity ``valuation_in_base``
 valuations and is NOT itself additive.
 
 ``integral_level`` and ``transitive_pair`` hold, once, the per-prime
-exponent arithmetic behind the lattice invariant (s, m).
+exponent arithmetic behind the lattice invariant (s, m).  The size caps of
+the whole package sit in one table here, next to ``power_exceeds``, the one
+test of a power against a cap.
 """
 
 from __future__ import annotations
@@ -33,40 +35,42 @@ from .errors import (
     TooLarge,
 )
 
+# Every size cap; past one, a command is refused with TooLarge (exit 3).
+SEARCH_LEVEL_CAP = 64  # levels the literal (k, j) search tries
+SEARCH_BUDGET = 20_000  # candidates j it may scan to reach the formula's k
+ORBIT_CONE_CAP = 4096  # cone vertices an orbit, picture or window builds
+SIZE_CAP = 10**6  # lab group orders and labels a level; twice it: orbit steps
+TOP_CAP = 64  # top-level vertices of a lab group
+ABELIAN_SEARCH_CAP = 200  # group order past which no abelian search runs
+SCALING_CAP = (1 << 2**18) - 1  # n**l, the stable letter's scaling: 2**18 bits
 
-class _PlusInfinity:
-    """Valuation of zero.  Compares above every integer; a single instance."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "+inf"
-
-    def __eq__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __hash__(self):
-        return hash("bslat-plus-infinity")
-
-    def __gt__(self, other):
-        return not isinstance(other, _PlusInfinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base**exponent > cap, for a cap >= 0.  |base|**exponent has at least
+    exponent * (b - 1) bits, b the bit length of |base|, so a power is built
+    only while it has less than twice the bits of the cap."""
+    if base < 0 and exponent % 2:
         return False
+    size = abs(base)
+    if exponent * (size.bit_length() - 1) >= cap.bit_length():
+        return True
+    return size**exponent > cap
 
-    def __le__(self, other):
-        return isinstance(other, _PlusInfinity)
+
+def check_printable(n: int, h: int):
+    """Refuse height h when its centers (their denominators, at h < 0) can
+    reach n**|h| >= 10**limit, past the digits Python converts to text."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # 2**|h| > 10**limit once |h| > 4 * limit, whatever n is
+    if limit and (
+        abs(h) > 4 * limit or power_exceeds(n, abs(h), 10**limit - 1)
+    ):
+        shown = format_rational(h)  # tree act's h is past printing itself
+        raise TooLarge(f"centers at height {shown} can exceed {limit} digits")
 
 
-INFINITY = _PlusInfinity()
+# The valuation of zero, above every integer.
+INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -196,10 +200,6 @@ def integral_level(x, n: int, l: int = 1) -> int:
     return max(0, *(-(p_valuation(q, p) // (l * e)) for p, e in primes))
 
 
-SEARCH_LEVEL_CAP = 64
-SEARCH_BUDGET = 20_000
-
-
 def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
     """Least k >= 0, then least n-smooth j, with j * beta / n**(l*k) a unit
     of Z_n: j copies of the shift by the nonzero beta act transitively
@@ -222,7 +222,8 @@ def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
     )
     if candidates > SEARCH_BUDGET:
         raise TooLarge(
-            f"the (k, j) search needs up to {candidates} candidates to reach "
+            "the (k, j) search needs up to "
+            f"{format_rational(candidates)} candidates to reach "
             f"k = {k}; budget is {SEARCH_BUDGET}"
         )
     j = 1

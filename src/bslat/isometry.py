@@ -20,18 +20,12 @@ from fractions import Fraction
 
 from .errors import BaseMismatch, InvalidParams, NotElliptic
 from .exactnum import format_rational, parse_rational
-from .tree import BallAffineMap
+from .tree import BallAffineMap, _as_fraction, affine_power
 
 
 class IsometryType(enum.Enum):
     ELLIPTIC = "elliptic"
     HYPERBOLIC = "hyperbolic"
-
-
-def _rational(value) -> Fraction:
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,8 @@ class ArithmeticIsometry:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise InvalidParams(f"eps must be +1 or -1, got {self.eps}")
-        object.__setattr__(self, "alpha", _rational(self.alpha))
+        alpha = _as_fraction(self.alpha, self.n, "alpha")
+        object.__setattr__(self, "alpha", alpha)
         if self.tree.n != self.n:
             raise BaseMismatch(
                 f"tree part over base {self.tree.n}, isometry over {self.n}"
@@ -65,7 +60,8 @@ class ArithmeticIsometry:
     def real_translation(n: int, amount) -> "ArithmeticIsometry":
         """Move the real coordinate only; the tree is untouched."""
         return ArithmeticIsometry(
-            n, 1, 0, _rational(amount), BallAffineMap.identity(n)
+            n, 1, 0, _as_fraction(amount, n, "amount"),
+            BallAffineMap.identity(n),
         )
 
     @staticmethod
@@ -116,16 +112,14 @@ class ArithmeticIsometry:
         )
 
     def power(self, k: int) -> "ArithmeticIsometry":
+        """The k-th power, the real part and the tree part each in closed
+        form by tree.affine_power."""
         if k < 0:
             return self.inverse().power(-k)
-        result = ArithmeticIsometry.identity(self.n)
-        square = self
-        while k:
-            if k & 1:
-                result = result.compose(square)
-            square = square.compose(square)
-            k >>= 1
-        return result
+        _, alpha = affine_power(self.real_slope(), self.alpha, k)
+        return ArithmeticIsometry(
+            self.n, self.eps ** (k % 2), k * self.h, alpha, self.tree.power(k)
+        )
 
     def is_identity(self) -> bool:
         return self == ArithmeticIsometry.identity(self.n)
@@ -202,7 +196,7 @@ class AmbientAutomorphism:
     g: ArithmeticIsometry
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _rational(self.r))
+        object.__setattr__(self, "r", _as_fraction(self.r, self.g.n, "r"))
         if self.r == 0:
             raise InvalidParams("scaling factor r must be nonzero")
         if self.g.eps != 1 or self.g.alpha != 0:
@@ -219,7 +213,7 @@ class AmbientAutomorphism:
     @staticmethod
     def scaling(n: int, r) -> "AmbientAutomorphism":
         return AmbientAutomorphism(
-            _rational(r), ArithmeticIsometry.identity(n)
+            _as_fraction(r, n, "r"), ArithmeticIsometry.identity(n)
         )
 
     def compose(self, other: "AmbientAutomorphism") -> "AmbientAutomorphism":

@@ -24,12 +24,16 @@ from .errors import (
     ZeroTranslation,
 )
 from .exactnum import (
+    ABELIAN_SEARCH_CAP,
+    SIZE_CAP,
+    TOP_CAP,
     NInvertible,
     TruncatedNAdic,
     format_rational,
     integral_in_base,
     integral_level,
     nadic_residue,
+    power_exceeds,
     transitive_pair,
 )
 from .tree import (
@@ -40,9 +44,6 @@ from .tree import (
     is_transitive_on_up,
     levelwise_translation,
 )
-
-SIZE_CAP = 10**6
-TOP_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class LevelPermGroup:
     def __post_init__(self, elements):
         if not (self.tops if elements is None else elements):
             raise InvalidParams("a group needs at least the identity")
-        if self.n**self.k > TOP_CAP:
+        if power_exceeds(self.n, self.k, TOP_CAP):
             raise TooLarge(
                 f"top level has {self.n}^{self.k} vertices; cap is {TOP_CAP}"
             )
@@ -214,16 +215,10 @@ class LevelPermGroup:
         return checked
 
 
-def _power_exceeds(n: int, k: int, cap: int) -> bool:
-    """n**k > cap for n >= 2 and k >= 0; an exponent past the cap's bit
-    length is answered without computing n**k."""
-    return k >= cap.bit_length() or n**k > cap
-
-
 def _feasibility_guard(n: int, k: int):
     if n < 2 or k < 1:
         raise InvalidParams("need n >= 2 and k >= 1")
-    if _power_exceeds(n, k, TOP_CAP):
+    if power_exceeds(n, k, TOP_CAP):
         raise TooLarge(
             f"top level has {n}^{k} vertices; cap is {TOP_CAP}"
         )
@@ -411,12 +406,12 @@ def _certification_guard(n: int, depth: int):
     """Refuse an orbit certification of more than 2 * SIZE_CAP steps, the
     sum of n**i over 1 <= i <= depth, naming the count while it is
     printable.  Once |n| >= 2 the sum has the sign of n**depth and is past
-    2**(4 * limit) > 10**limit when n**depth is, so a depth that far out is
-    refused (or passed, for a negative sum) without computing it.  The
+    2**(4 * limit) > 10**limit when |n|**depth is, so a depth that far out
+    is refused (or passed, for a negative sum) without computing it.  The
     base itself is checked after this guard."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     count = f"more than 10^{limit}"
-    if abs(n) < 2 or depth * (abs(n).bit_length() - 1) <= 4 * limit:
+    if not power_exceeds(abs(n), depth, 2 ** (4 * limit)):
         steps = depth if n == 1 else (n ** (depth + 1) - n) // (n - 1)
         if steps <= 2 * SIZE_CAP:
             return
@@ -469,7 +464,7 @@ def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
         raise InvalidParams(
             f"{value} is not an n-adic integer for base {base}"
         )
-    if _power_exceeds(base, depth, SIZE_CAP):
+    if power_exceeds(base, depth, SIZE_CAP):
         raise TooLarge(f"{base}^{depth} labels per level; reduce depth")
     sums = []
     for i in range(1, depth + 1):
@@ -506,7 +501,7 @@ def _abelian_search_order(tops: list[bytes]) -> int | None:
     """Largest abelian subgroup found from commuting generating sets of
     size up to three; None when the group is too big to search."""
     count = len(tops)
-    if count > 200:
+    if count > ABELIAN_SEARCH_CAP:
         return None
 
     tables = {f: _padded(f) for f in tops}
@@ -521,7 +516,7 @@ def _abelian_search_order(tops: list[bytes]) -> int | None:
         for g in tops[i:]
         if commutes(f, g)
     ]
-    with_third = count**3 <= 2 * SIZE_CAP
+    with_third = not power_exceeds(count, 3, 2 * SIZE_CAP)
     for f, g in pairs:
         members = _generated((f, g))
         best = max(best, len(members))
@@ -565,8 +560,9 @@ def jordan_index_report(n: int, k: int, m_values) -> LemmaReport:
     abelian = _abelian_search_order(list(group.tops))
     if abelian is None:
         notes = (
-            "abelian subgroup search skipped above order 200; "
-            "centralizer indices only bound the abelian-subgroup index"
+            "abelian subgroup search skipped above order "
+            f"{ABELIAN_SEARCH_CAP}; centralizer indices only bound the "
+            "abelian-subgroup index"
         )
     else:
         notes = (

@@ -302,11 +302,13 @@ def enumerate_quotient(spec: EmbeddingSpec) -> tuple[QuotientEntry, ...]:
     B^-x A^y B^x whose tree parts translate by multiples of n**(h0+i), and
     its minimal positive translation distance works out to |s|*n^(h0+i).
     The finite part of every stabilizer is trivial (the image group is
-    torsion-free).
+    torsion-free).  The last distance has the largest numerator, so one
+    that format_rational refuses is refused before any entry is built.
     """
     classified = classify(spec)
     n = spec.n
     scale = abs(classified.s)
+    format_rational(scale * Fraction(n) ** (classified.h0 + spec.l - 1))
     entries = []
     for i in range(spec.l):
         height = classified.h0 + i
@@ -449,16 +451,17 @@ def flip_commutator_exponent(case: PresentationCase) -> int:
 
 
 def presentation_relators(case: PresentationCase) -> list[str]:
-    """Relator words (over a, b, c) that must evaluate to the identity."""
+    """Relator words (over a, b, c) that must evaluate to the identity; an
+    exponent past the printable digits is refused by format_rational."""
     n, l = case.n, case.l
-    relators = [f"b a b^-1 a^{-n**l}"]
+    relators = [f"b a b^-1 a^{format_rational(-n**l)}"]
     if case.case_number == 2:
-        relators.append(f"c a c^-1 a^{n ** (l // 2)}")
+        relators.append(f"c a c^-1 a^{format_rational(n ** (l // 2))}")
         relators.append("c^2 b^-1")
     elif case.case_number == 3:
         y = flip_commutator_exponent(case)
         relators.append("c a c^-1 a")
-        relators.append(f"c b c^-1 b^-1 a^{-y}")
+        relators.append(f"c b c^-1 b^-1 a^{format_rational(-y)}")
         relators.append("c^2")
     return relators
 

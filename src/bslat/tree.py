@@ -39,6 +39,7 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import (
+    SCALING_CAP,
     NInvertible,
     TruncatedNAdic,
     _prime_signature,
@@ -49,6 +50,7 @@ from .exactnum import (
     nadic_residue,
     p_valuation,
     parse_rational,
+    power_exceeds,
     smooth_denominator,
     valuation_in_base,
 )
@@ -143,6 +145,17 @@ def vertex_above(base_vertex: TreeVertex, level: int, label: int) -> TreeVertex:
     )
 
 
+def affine_power(u, beta, k: int) -> tuple[Fraction, Fraction]:
+    """(A, B) with x -> A*x + B the k-th power of x -> u*x + beta, k >= 0,
+    in closed form: A = u**k and B = beta * (A - 1) / (u - 1), or k * beta
+    when u = 1.  B may leave Z[1/n] when u has a denominator coprime to n,
+    so no map is built here."""
+    scale = u**k
+    if u == 1:
+        return scale, k * beta
+    return scale, beta * (scale - 1) / (u - 1)
+
+
 @dataclass(frozen=True)
 class BallAffineMap:
     """x -> u*x + beta on Q_n, shifting heights by h.
@@ -167,7 +180,7 @@ class BallAffineMap:
             if p_valuation(self.u, p) != self.h * e:
                 raise InvalidParams(
                     f"u = {self.u} does not scale balls by {self.n}^{self.h}: "
-                    f"v_{p}(u) != {self.h * e}"
+                    f"v_{p}(u) != {format_rational(self.h * e)}"
                 )
 
     @staticmethod
@@ -180,7 +193,11 @@ class BallAffineMap:
 
     @staticmethod
     def base_scaling(n: int, power: int = 1) -> "BallAffineMap":
-        """x -> n**power * x, the standard height-raising action."""
+        """x -> n**power * x, the standard height-raising action; refused
+        past SCALING_CAP, before n**power is built."""
+        if power_exceeds(abs(n), abs(power), SCALING_CAP):
+            bits = SCALING_CAP.bit_length()
+            raise TooLarge(f"{n}^{power} has more than {bits} bits")
         return BallAffineMap(n, power, Fraction(n) ** power, Fraction(0))
 
     def _check_base(self, other: "BallAffineMap"):
@@ -220,16 +237,9 @@ class BallAffineMap:
     def power(self, k: int) -> "BallAffineMap":
         if k < 0:
             return self.inverse().power(-k)
-        return BallAffineMap(self.n, k * self.h, *self._power_terms(k))
-
-    def _power_terms(self, k: int) -> tuple[Fraction, Fraction]:
-        """(A, B) with x -> A*x + B the k-th power, k >= 0, in closed form:
-        A = u**k and B = beta * (A - 1) / (u - 1).  B may leave Z[1/n]
-        when u has a denominator coprime to n, so no map is built here."""
-        scale = self.u**k
-        if self.u == 1:
-            return scale, k * self.beta
-        return scale, self.beta * (scale - 1) / (self.u - 1)
+        return BallAffineMap(
+            self.n, k * self.h, *affine_power(self.u, self.beta, k)
+        )
 
     def __call__(self, x):
         return self.u * _as_fraction(x, self.n, "x") + self.beta
@@ -279,7 +289,7 @@ def act_power(map_: BallAffineMap, k: int, v: TreeVertex) -> TreeVertex:
         raise BaseMismatch("map and vertex over different bases")
     if map_.h == 0:
         return _act_elliptic_power(map_, k, v)
-    scale, shift = map_._power_terms(abs(k))
+    scale, shift = affine_power(map_.u, map_.beta, abs(k))
     center = (v.c - shift) / scale if k < 0 else scale * v.c + shift
     return TreeVertex.of(v.n, v.h + k * map_.h, center)
 
@@ -790,7 +800,7 @@ def enumerate_cone_tops(n: int, depth: int):
     Feasible only for tiny n**depth; the one enumerator behind the lab's
     brute-force groups and certifications.
     """
-    if n**depth > 256:
+    if power_exceeds(n, depth, 256):
         raise TooLarge(f"{n}^{depth} labels do not fit in a byte")
     if depth == 0:
         yield bytes(1)

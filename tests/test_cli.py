@@ -6,10 +6,12 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from bslat import cli, exactnum, tree
 from bslat.cli import CommandResult, main
@@ -25,6 +27,60 @@ def run(argv, capsys):
 def run_json(argv, capsys):
     code, out, err = run(argv + ["--json"], capsys)
     return code, json.loads(out), err
+
+
+# Runs a batch of commands through main() in one child process; each
+# command's argv goes to stderr first, so a hang names its command.
+CHILD = (
+    "import contextlib, io, json, sys, time, traceback\n"
+    "from bslat.cli import main\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    print(json.dumps(argv), file=sys.stderr, flush=True)\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    start = time.perf_counter()\n"
+    "    with contextlib.redirect_stdout(out), "
+    "contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            code = main(argv)\n"
+    "        except Exception:\n"
+    "            code = None\n"
+    "            traceback.print_exc()\n"
+    "    seconds = time.perf_counter() - start\n"
+    "    results.append([code, out.getvalue(), err.getvalue(), seconds])\n"
+    "print(json.dumps(results))\n"
+)
+
+
+def run_batch(argvs, cwd=None, timeout=30):
+    """[code, stdout, stderr, seconds] of each command, run in one child
+    process under a 1 GiB address-space limit and a timeout, so that a
+    command that hangs or allocates without bound fails the test instead
+    of exhausting the machine."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=timeout, cwd=cwd,
+            preexec_fn=limit_memory,
+            env={**os.environ,
+                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        )
+    except subprocess.TimeoutExpired as exc:
+        started = exc.stderr or b""
+        if isinstance(started, bytes):
+            started = started.decode(errors="replace")
+        last = started.splitlines()[-1:]
+        pytest.fail(f"no answer in {timeout} s; last started: {last}")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs)
+    return results
 
 
 @pytest.fixture
@@ -786,37 +842,8 @@ class TestHarness:
         ["lab", "level-sum", "--n", "2", "--gamma", "1", "--a-v", "1",
          "--depth", "99999999999999"],
     ]
-    CHILD = (
-        "import contextlib, io, json, sys, time\n"
-        "from bslat.cli import main\n"
-        "results = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    out, err = io.StringIO(), io.StringIO()\n"
-        "    start = time.perf_counter()\n"
-        "    with contextlib.redirect_stdout(out), "
-        "contextlib.redirect_stderr(err):\n"
-        "        code = main(argv)\n"
-        "    seconds = time.perf_counter() - start\n"
-        "    results.append([code, out.getvalue(), err.getvalue(), seconds])\n"
-        "print(json.dumps(results))\n"
-    )
-
     def test_lab_guards_refuse_before_they_compute(self):
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, json.dumps(self.GUARDED)],
-            capture_output=True, text=True, timeout=30,
-            preexec_fn=limit_memory,
-            env={**os.environ,
-                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
-        )
-        assert proc.returncode == 0 and "Traceback" not in proc.stderr
-        results = json.loads(proc.stdout)
-        assert len(results) == len(self.GUARDED)
+        results = run_batch(self.GUARDED)
         for argv, (code, out, err, seconds) in zip(self.GUARDED, results):
             assert (code, out) == (3, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -907,3 +934,202 @@ def test_emit_writes_the_bytes_of_the_per_line_loop(result, as_json, capsys):
     expected = capsys.readouterr()
     assert cli._emit(result, as_json) == expected_code
     assert capsys.readouterr() == expected
+
+
+# ---------------------------------------------------------------- grammar fuzz
+
+# bases: mostly valid, so that the commands reach their guards
+N_VALUES = st.sampled_from([2, 3, 4, 6, 10, 2, 3, 2, 1, 0, -2])
+# every size flag: small, negative, and far past any cap, up to the most
+# digits an int flag parses
+SIZES = st.integers(min_value=1, max_value=4) | st.sampled_from(
+    [0, -1, -3, 99999999999, 99999999999999, -99999999999, 2**64, 10**30,
+     int("9" * 4300), -int("9" * 4300)]
+)
+RATIONALS = st.sampled_from(
+    ["1", "2", "-7/3", "2/3", "1/2", "0", "1.5", "1/0", "abc", "", "2/", "--1"]
+)
+WORDS = st.sampled_from(
+    ["a b^-1", "b^-3 a^5 b^2", "b^99999999999 a", "a^-99999999999",
+     "b^-99999999999 a b", "c", "a^", "", "b^2 a b^-1"]
+)
+GENERATORS = st.sampled_from(
+    ["A", "B", "C", "D", "Q1", "Q99999999999", "theta_3",
+     "theta_99999999999", "X"]
+)
+PERMS = st.sampled_from(["[[1,0]]", "[[0,1],[1,0,3,2]]", "[[", "[]", "[[0]]"])
+# files written into the child's working directory
+FILES = {
+    "phi.json": json.dumps(standard_embedding(2, 1, 1, 3).to_json()),
+    "psi.json": json.dumps(standard_embedding(3, 2, "2/3", 9).to_json()),
+    "bad.json": "{",
+    "short.json": json.dumps({"n": 2, "l": 1}),
+    "quotient.json": json.dumps({"n": 2, "entries": [
+        {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": 0, "stab0": 1}
+    ]}),
+}
+PATHS = st.sampled_from([*FILES, "missing.json"])
+
+
+def flag(name, values):
+    return values.map(lambda value: [f"--{name}={value}"])
+
+
+def maybe(name, values):
+    return st.just([]) | flag(name, values)
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+def spec_flags():
+    return flag("file", PATHS) | joined(
+        flag("n", N_VALUES), flag("l", SIZES), flag("s", RATIONALS),
+        flag("m", SIZES),
+    )
+
+
+def ball_map():
+    return joined(
+        flag("n", N_VALUES), maybe("height", SIZES), maybe("unit", RATIONALS),
+        maybe("beta", RATIONALS),
+    )
+
+
+def vertex():
+    return flag("vertex", st.tuples(SIZES, RATIONALS).map(
+        lambda pair: f"{pair[0]}:{pair[1]}"
+    )) | flag("vertex", st.just("abc"))
+
+
+VERBS = {
+    ("bs", "normalize"): joined(flag("N", N_VALUES), WORDS.map(lambda w: [w])),
+    ("bs", "mult"): joined(
+        flag("N", N_VALUES), st.lists(WORDS, min_size=2, max_size=2)
+    ),
+    ("bs", "invert"): joined(flag("N", N_VALUES), WORDS.map(lambda w: [w])),
+    ("bs", "collins"): joined(
+        flag("N", N_VALUES), st.tuples(GENERATORS, WORDS).map(list)
+    ),
+    ("tree", "act"): joined(ball_map(), vertex(), maybe("power", SIZES)),
+    ("tree", "orbit"): joined(
+        ball_map(), vertex(), maybe("depth", SIZES),
+        maybe("dot", st.just("orbit.dot")),
+    ),
+    ("tree", "axis"): joined(
+        ball_map(), maybe("at-height", SIZES), maybe("depth", SIZES),
+        maybe("dot", st.just("axis.dot")),
+    ),
+    ("tree", "aeta"): joined(
+        flag("n", N_VALUES), maybe("depth", SIZES),
+        flag("eta", SIZES) | flag("perms", PERMS),
+    ),
+    ("embed", "classify"): spec_flags(),
+    ("embed", "validate"): spec_flags(),
+    ("embed", "conjugate"): joined(
+        spec_flags(), maybe("height", SIZES), maybe("unit", RATIONALS),
+        maybe("beta", RATIONALS), maybe("alpha", RATIONALS),
+        st.just([]) | joined(st.just(["--random"]), maybe("seed", SIZES)),
+    ),
+    ("embed", "auto-equiv"): st.lists(PATHS, min_size=2, max_size=2),
+    ("embed", "straighten"): joined(
+        spec_flags(), maybe("depth", SIZES), maybe("window", SIZES)
+    ),
+    ("covol", "enumerate"): spec_flags(),
+    ("covol", "from-quotient"): flag("file", PATHS),
+    ("present", "verify"): joined(
+        flag("case", st.integers(min_value=0, max_value=4)),
+        flag("n", N_VALUES), flag("l", SIZES), maybe("m-ref", SIZES),
+    ),
+    ("lab", "count-hk"): joined(flag("n", N_VALUES), flag("k", SIZES)),
+    ("lab", "centralizer"): joined(
+        flag("n", N_VALUES), flag("k", SIZES), flag("m", SIZES)
+    ),
+    ("lab", "trans-search"): joined(
+        flag("n", N_VALUES), flag("beta", RATIONALS), maybe("l", SIZES),
+        maybe("depth", SIZES),
+    ),
+    ("lab", "level-sum"): joined(
+        flag("n", N_VALUES), flag("gamma", RATIONALS),
+        flag("a-v", RATIONALS), maybe("depth", SIZES),
+    ),
+    ("lab", "jordan-index"): joined(
+        flag("n", N_VALUES), flag("k", SIZES),
+        st.lists(flag("m", SIZES), min_size=1, max_size=2).map(
+            lambda flags: sum(flags, [])
+        ),
+    ),
+}
+# five commands of every verb a batch, in the human or the JSON format
+BATCHES = st.tuples(*[
+    st.lists(
+        joined(st.just(list(verb)), rest, st.sampled_from([[], ["--json"]])),
+        min_size=5, max_size=5,
+    )
+    for verb, rest in sorted(VERBS.items())
+]).map(lambda lists: sum(lists, []))
+
+
+class TestGrammarFuzz:
+    # each of these hung, or printed a traceback, before its guard
+    REFUSED = [
+        [*verb, "--n", "2", "--l", "99999999999", "--s", "1", "--m", "1"]
+        for verb in (
+            ["embed", "classify"],
+            ["embed", "validate"],
+            ["embed", "straighten"],
+            ["covol", "enumerate"],
+        )
+    ] + [
+        ["present", "verify", "--case", "1", "--n", "2", "--l", "99999999999"],
+        ["covol", "enumerate", "--n", "2", "--l", "99999", "--s", "1",
+         "--m", "1"],
+        ["present", "verify", "--case", "1", "--n", "2", "--l", "20000"],
+        ["present", "verify", "--case", "3", "--n", "2", "--l", "4",
+         "--m-ref", "9" * 4300],
+    ]
+
+    def test_scaling_and_printing_guards_refuse_in_time(self):
+        for argv, (code, out, err, seconds) in zip(
+            self.REFUSED, run_batch(self.REFUSED)
+        ):
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert seconds < 2, argv
+
+    # a failing batch names its command, so it is reported unshrunk
+    def test_large_answers_keep_their_bytes(self, capsys):
+        # l = 99999 took 8.7 s through the composing power; the answers are
+        # those it printed
+        code, out, _ = run(
+            ["embed", "classify", "--n", "2", "--l", "99999", "--s", "1",
+             "--m", "1"],
+            capsys,
+        )
+        assert (code, out) == (0, "s = 1\nm = 1\nh0 = 0\nj = 1\nk = 0\n")
+        code, out, _ = run_json(
+            ["present", "verify", "--case", "3", "--n", "2", "--l", "14000",
+             "--m-ref", "99999"],
+            capsys,
+        )
+        relators = [item["relator"] for item in out["payload"]["relators"]]
+        y = 99999 * (1 - 2**14000)
+        assert code == 0 and out["payload"]["all_identity"]
+        assert relators == [
+            f"b a b^-1 a^{-(2**14000)}", "c a c^-1 a",
+            f"c b c^-1 b^-1 a^{-y}", "c^2",
+        ]
+
+    @settings(max_examples=4, phases=[Phase.explicit, Phase.generate])
+    @example(batch=REFUSED + TestHarness.GUARDED)
+    @given(batch=BATCHES)
+    def test_every_command_answers_or_refuses_in_time(self, batch):
+        with tempfile.TemporaryDirectory() as work:
+            for name, text in FILES.items():
+                Path(work, name).write_text(text)
+            results = run_batch(batch, cwd=work)
+        for argv, (code, out, err, seconds) in zip(batch, results):
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert "Traceback" not in err, argv
+            assert seconds < 2, argv

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import itertools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -476,3 +479,145 @@ class TestParsing:
                 xn.format_rational(Fraction(p, q))
             assert str(failure.value) == str(reference.value)
         assert xn.format_quotient(huge * 3, huge * 2) == "3/2"
+
+
+# The guards the size table replaced, as they stood, kept as oracles.
+
+
+def old_check_printable(n, h):
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and (abs(h) > 4 * limit or n ** abs(h) >= 10**limit):
+        raise TooLarge(f"centers at height {h} can exceed {limit} digits")
+
+
+def old_check_cone(n, depth, copies=1):
+    cap = xn.ORBIT_CONE_CAP
+    if n >= 2 and (depth >= cap.bit_length() or copies * n**depth > cap):
+        count = f"{n}^{depth}" if copies == 1 else f"{copies} * {n}^{depth}"
+        raise TooLarge(f"{count} cone vertices; cap is {cap}")
+
+
+def old_power_exceeds(n, k, cap):
+    """n**k > cap for n >= 2 and k >= 0."""
+    return k >= cap.bit_length() or n**k > cap
+
+
+def old_certification_guard(n, depth):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    count = f"more than 10^{limit}"
+    if abs(n) < 2 or depth * (abs(n).bit_length() - 1) <= 4 * limit:
+        steps = depth if n == 1 else (n ** (depth + 1) - n) // (n - 1)
+        if steps <= 2 * xn.SIZE_CAP:
+            return
+        with contextlib.suppress(ValueError):
+            count = str(steps)
+    elif n < 0 and depth % 2:
+        return
+    raise TooLarge(f"orbit certification needs {count} steps; reduce depth")
+
+
+def refusal(guard, *args):
+    """The message of the TooLarge a guard raises, or None."""
+    try:
+        guard(*args)
+    except TooLarge as exc:
+        return str(exc)
+    return None
+
+
+LIMIT = sys.get_int_max_str_digits()
+CAPS = {
+    "top": xn.TOP_CAP,
+    "byte": 256,
+    "cone": xn.ORBIT_CONE_CAP,
+    "size": xn.SIZE_CAP,
+    "steps": 2 * xn.SIZE_CAP,
+    "digits": 10**LIMIT - 1,
+    "printable-steps": 2 ** (4 * LIMIT),
+    "scaling": xn.SCALING_CAP,
+}
+
+
+@functools.cache
+def crossing(n, cap):
+    """The least e >= 0 with |n|**e > cap (None for |n| < 2)."""
+    if abs(n) < 2:
+        return None
+    e = max(0, int(cap.bit_length() / math.log2(abs(n))) - 2)
+    while abs(n) ** e <= cap:
+        e += 1
+    return e
+
+
+@functools.cache
+def thresholds(n):
+    """Where the guards' answers or shortcuts switch, for base n."""
+    found = {4 * LIMIT}
+    for cap in CAPS.values():
+        found.add(cap.bit_length())
+        found.add(crossing(n, cap) or 0)
+        if abs(n) >= 2:  # where exponent * (bit length - 1) passes the cap
+            found.add(cap.bit_length() // (abs(n).bit_length() - 1))
+    return sorted(found)
+
+
+@st.composite
+def base_and_exponent(draw, cap=None):
+    """n in [-3, 10], and an exponent on either side of a threshold."""
+    n = draw(st.integers(min_value=-3, max_value=10))
+    near = crossing(n, cap) if cap else draw(st.sampled_from(thresholds(n)))
+    exponent = draw(
+        st.integers(min_value=0, max_value=40)
+        | st.integers(min_value=-3, max_value=3).map(
+            lambda d: max(0, (near or 0) + d)
+        )
+    )
+    return n, exponent
+
+
+class TestSizeTable:
+    @pytest.mark.parametrize("name", CAPS)
+    @given(data=st.data())
+    def test_power_exceeds_agrees_with_the_lab_predicate(self, name, data):
+        cap = CAPS[name]
+        n, k = data.draw(base_and_exponent(cap))
+        if n >= 2:
+            assert xn.power_exceeds(n, k, cap) == old_power_exceeds(n, k, cap)
+        assert xn.power_exceeds(n, k, cap) == (n**k > cap)
+
+    def test_power_exceeds_answers_huge_exponents_at_once(self):
+        start = time.perf_counter()
+        for n in (2, 3, 10, 10**4000):
+            assert xn.power_exceeds(n, 10**15, xn.SCALING_CAP)
+            assert not xn.power_exceeds(-n, 10**15 + 1, xn.SCALING_CAP)
+        assert not xn.power_exceeds(1, 10**15, xn.TOP_CAP)
+        assert time.perf_counter() - start < 0.1
+
+    @given(base_and_exponent(), st.sampled_from([1, -1]))
+    def test_check_printable_matches_the_old_guard(self, pair, sign):
+        n, h = pair
+        assert refusal(xn.check_printable, n, sign * h) == refusal(
+            old_check_printable, n, sign * h
+        )
+
+    @given(
+        base_and_exponent(),
+        st.integers(min_value=1, max_value=20)
+        | st.integers(min_value=1, max_value=3 * xn.ORBIT_CONE_CAP),
+    )
+    def test_check_cone_matches_the_old_guard(self, pair, copies):
+        from bslat.cli import _check_cone
+
+        n, depth = pair
+        assert refusal(_check_cone, n, depth, copies) == refusal(
+            old_check_cone, n, depth, copies
+        )
+
+    @given(base_and_exponent())
+    def test_certification_guard_matches_the_old_guard(self, pair):
+        from bslat.lab import _certification_guard
+
+        n, depth = pair
+        assert refusal(_certification_guard, n, depth) == refusal(
+            old_certification_guard, n, depth
+        )

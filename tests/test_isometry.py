@@ -1,11 +1,18 @@
 """Arithmetic isometries: composition, the dichotomy, td, the splitting."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bslat.errors import BaseMismatch, InvalidParams, NotElliptic, NotInvertible
+from bslat.errors import (
+    BaseMismatch,
+    InvalidParams,
+    NotElliptic,
+    NotInvertible,
+    ValidationError,
+)
 from bslat.exactnum import is_ring_unit
 from bslat.isometry import (
     AmbientAutomorphism,
@@ -42,6 +49,46 @@ def isometries(draw, base=None, eps=None, elliptic=False, invertible=False):
     return ArithmeticIsometry(
         n, sign, h, alpha, BallAffineMap(n, h, unit * Fraction(n) ** h, beta)
     )
+
+
+@st.composite
+def any_isometries(draw):
+    """Isometries whose tree slope u = unit * n**h may have a denominator
+    coprime to n, so that some of their powers leave the class."""
+    n = draw(BASES)
+    h = draw(st.integers(min_value=-2, max_value=3))
+    numerator = draw(
+        st.integers(min_value=1, max_value=25).filter(
+            lambda w: math.gcd(w, n) == 1
+        )
+    )
+    # 5 and 7 are coprime to every base drawn
+    denominator = draw(st.sampled_from([1, 5, 7]))
+    unit = Fraction(numerator, denominator) * draw(st.sampled_from([1, -1]))
+    beta = Fraction(draw(st.integers(min_value=-64, max_value=64)), n**2)
+    alpha = Fraction(
+        draw(st.integers(min_value=-30, max_value=30)),
+        draw(st.integers(min_value=1, max_value=9)),
+    )
+    return ArithmeticIsometry(
+        n, draw(st.sampled_from([1, -1])), h, alpha,
+        BallAffineMap(n, h, unit * Fraction(n) ** h, beta),
+    )
+
+
+def loop_power(f, k):
+    """The square-and-multiply power the closed form replaced: it squares
+    once more than it needs, so it can raise where the power exists."""
+    if k < 0:
+        return loop_power(f.inverse(), -k)
+    result = ArithmeticIsometry.identity(f.n)
+    square = f
+    while k:
+        if k & 1:
+            result = result.compose(square)
+        square = square.compose(square)
+        k >>= 1
+    return result
 
 
 def unit_pair(n):
@@ -135,6 +182,32 @@ class TestCompose:
         for _ in range(k):
             step = step.compose(f)
         assert f.power(k) == step
+
+    @given(any_isometries(), st.integers(min_value=-12, max_value=40))
+    def test_power_agrees_with_the_loop_wherever_it_answers(self, f, k):
+        try:
+            expected = loop_power(f, k)
+        except ValidationError:
+            return
+        assert f.power(k) == expected
+
+    def test_power_one_is_the_map_where_the_loop_raised(self):
+        # the loop squares f before it returns f**1, and u * beta + beta =
+        # 407/6 leaves Z[1/2]
+        f = ArithmeticIsometry(
+            2, -1, 3, 2, BallAffineMap(2, 3, Fraction(8, 3), Fraction(37, 2))
+        )
+        with pytest.raises(InvalidParams, match="beta 407/6 not in Z"):
+            loop_power(f, 1)
+        assert f.power(1) == f
+
+    def test_huge_power_of_a_translation_is_closed_form(self):
+        a, _ = unit_pair(2)
+        k = 2**200_000
+        assert a.power(k) == ArithmeticIsometry(
+            2, 1, 0, Fraction(k), BallAffineMap.translation(2, k)
+        )
+        assert a.power(-k) == a.power(k).inverse()
 
     @given(isometries(base=2), isometries(base=2))
     def test_conjugation_is_total_and_consistent(self, f, g):

@@ -2,7 +2,7 @@
 
 Self-checks must survive ``python -O``, which strips ``assert`` statements,
 so every check in ``src/bslat`` raises explicitly instead.  The literal
-(k, j) search exists once, in ``exactnum``.
+(k, j) search and the table of size caps exist once, in ``exactnum``.
 """
 
 import ast
@@ -40,5 +40,23 @@ def test_literal_search_lives_in_exactnum():
         or (
             isinstance(node, ast.alias) and node.name == "smooth_divisors"
         )
+    ]
+    assert found == []
+
+
+def test_size_caps_live_in_exactnum():
+    # every cap and budget is assigned once, in the table in exactnum
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "exactnum.py"
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+        and name.id.endswith(("_CAP", "_BUDGET"))
     ]
     assert found == []

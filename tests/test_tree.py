@@ -169,6 +169,15 @@ class TestBallAffineMap:
         BallAffineMap(2, 1, Fraction(6), Fraction(0))
         BallAffineMap(6, 1, Fraction(-6), Fraction(1, 6))
 
+    def test_base_scaling_refuses_past_the_scaling_cap(self):
+        # n**l up to 2**18 bits is built; past it, l is refused unbuilt
+        assert BallAffineMap.base_scaling(2, 2**18 - 1).u == 2 ** (2**18 - 1)
+        with pytest.raises(TooLarge, match=r"^2\^262144 has more than 262144"):
+            BallAffineMap.base_scaling(2, 2**18)
+        for n, power in [(2, 10**15), (10, -(10**15)), (3, 165395)]:
+            with pytest.raises(TooLarge):
+                BallAffineMap.base_scaling(n, power)
+
     def test_rejects_non_smooth_beta(self):
         with pytest.raises(InvalidParams):
             BallAffineMap(2, 0, Fraction(1), Fraction(1, 5))
