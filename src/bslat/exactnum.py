@@ -43,6 +43,7 @@ SIZE_CAP = 10**6  # lab group orders and labels a level; twice it: orbit steps
 TOP_CAP = 64  # top-level vertices of a lab group
 ABELIAN_SEARCH_CAP = 200  # group order past which no abelian search runs
 SCALING_CAP = (1 << 2**18) - 1  # n**l, the stable letter's scaling: 2**18 bits
+FACTOR_BUDGET = 10**6  # largest trial divisor that factoring a base tries
 
 
 def power_exceeds(base: int, exponent: int, cap: int) -> bool:
@@ -55,6 +56,13 @@ def power_exceeds(base: int, exponent: int, cap: int) -> bool:
     if exponent * (size.bit_length() - 1) >= cap.bit_length():
         return True
     return size**exponent > cap
+
+
+def check_scaling(n: int, power: int):
+    """Refuse n**power past SCALING_CAP, before it is built."""
+    if power_exceeds(abs(n), abs(power), SCALING_CAP):
+        bits = SCALING_CAP.bit_length()
+        raise TooLarge(f"{n}^{power} has more than {bits} bits")
 
 
 def check_printable(n: int, h: int):
@@ -91,6 +99,10 @@ def _prime_signature(n: int) -> PrimeSignature:
         raise InvalidParams(f"base must be >= 2, got {n}")
     rest, factors, p = n, [], 2
     while p * p <= rest:
+        if p > FACTOR_BUDGET:
+            raise TooLarge(
+                f"factoring the base needs trial division past {FACTOR_BUDGET}"
+            )
         if rest % p == 0:
             e = 0
             while rest % p == 0:

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .exactnum import (
     _prime_signature,
+    check_scaling,
     format_rational,
     p_valuation,
     parse_rational,
@@ -324,9 +325,13 @@ def enumerate_quotient(spec: EmbeddingSpec) -> tuple[QuotientEntry, ...]:
 
 
 def covolume_from_quotient(entries, n: int) -> Fraction:
-    """Sum of a_v * n**(-h_v) / stab0 over the quotient entries."""
+    """Sum of a_v * n**(-h_v) / stab0 over the quotient entries.  An h_v
+    with n**|h_v| past SCALING_CAP is refused before the power is built:
+    a_v is a printable rational, so the term, and with it the sum of
+    positive terms, would be past printing anyway."""
     total = Fraction(0)
     for entry in entries:
+        check_scaling(n, entry.height)
         total += (
             entry.min_translation
             * Fraction(n) ** (-entry.height)

@@ -39,10 +39,10 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import (
-    SCALING_CAP,
     NInvertible,
     TruncatedNAdic,
     _prime_signature,
+    check_scaling,
     format_rational,
     in_ball,
     integral_level,
@@ -117,7 +117,12 @@ class TreeVertex:
 
     @staticmethod
     def from_json(n: int, payload: dict) -> "TreeVertex":
-        return TreeVertex.of(n, int(payload["h"]), parse_rational(str(payload["c"])))
+        """The vertex of a record; a height h with n**|h| past SCALING_CAP
+        is refused before any power of n is built."""
+        h = int(payload["h"])
+        _prime_signature(n)  # a bad base is named before a bad height
+        check_scaling(n, h)
+        return TreeVertex.of(n, h, parse_rational(str(payload["c"])))
 
     def __str__(self):
         return f"({self.h}, {format_rational(self.c)})"
@@ -195,9 +200,7 @@ class BallAffineMap:
     def base_scaling(n: int, power: int = 1) -> "BallAffineMap":
         """x -> n**power * x, the standard height-raising action; refused
         past SCALING_CAP, before n**power is built."""
-        if power_exceeds(abs(n), abs(power), SCALING_CAP):
-            bits = SCALING_CAP.bit_length()
-            raise TooLarge(f"{n}^{power} has more than {bits} bits")
+        check_scaling(n, power)
         return BallAffineMap(n, power, Fraction(n) ** power, Fraction(0))
 
     def _check_base(self, other: "BallAffineMap"):

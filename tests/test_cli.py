@@ -578,6 +578,26 @@ class TestCovol:
         assert code == 2
         assert "malformed" in err
 
+    def test_from_quotient_heights_within_the_scaling_cap(
+        self, tmp_path, capsys
+    ):
+        # 2^262143 is the last power of 2 within SCALING_CAP: a vertex there
+        # is kept, and an h_v there gives a covolume past printing
+        for name, rep_h, h_v, code, out, err in [
+            ("rep.json", 262143, 0, 0,
+             "n = 2\nentry_count = 1\ncovolume = 3\n", ""),
+            ("h_v.json", 0, 262143, 3, "",
+             "error: a rational exceeds 4300 digits\n"),
+        ]:
+            path = tmp_path / name
+            path.write_text(json.dumps({"n": 2, "entries": [
+                {"rep": {"h": rep_h, "c": "0"}, "a_v": "3", "h_v": h_v,
+                 "stab0": 1}
+            ]}))
+            assert run(
+                ["covol", "from-quotient", "--file", str(path)], capsys
+            ) == (code, out, err)
+
     def test_from_quotient_invalid_entry(self, tmp_path, capsys):
         path = tmp_path / "negative.json"
         path.write_text(
@@ -967,8 +987,24 @@ FILES = {
     "quotient.json": json.dumps({"n": 2, "entries": [
         {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": 0, "stab0": 1}
     ]}),
+    "high_rep.json": json.dumps({"n": 2, "entries": [
+        {"rep": {"h": 99999999999, "c": "0"}, "a_v": "3", "h_v": 0,
+         "stab0": 1}
+    ]}),
+    "high_h_v.json": json.dumps({"n": 2, "entries": [
+        {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": 99999999999,
+         "stab0": 1}
+    ]}),
 }
 PATHS = st.sampled_from([*FILES, "missing.json"])
+
+
+def run_among_files(argvs):
+    """run_batch in a fresh working directory holding FILES."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in FILES.items():
+            Path(work, name).write_text(text)
+        return run_batch(argvs, cwd=work)
 
 
 def flag(name, values):
@@ -1088,11 +1124,18 @@ class TestGrammarFuzz:
         ["present", "verify", "--case", "1", "--n", "2", "--l", "20000"],
         ["present", "verify", "--case", "3", "--n", "2", "--l", "4",
          "--m-ref", "9" * 4300],
+        # a prime base past the trial-division budget
+        ["bs", "normalize", "--N", "1000000000000000000000007", "a b"],
+        ["embed", "classify", "--n", "1000000000000000000000007", "--l", "1",
+         "--s", "1", "--m", "1"],
+        # a height with n^|h| past SCALING_CAP in a quotient record
+        ["covol", "from-quotient", "--file", "high_rep.json"],
+        ["covol", "from-quotient", "--file", "high_h_v.json"],
     ]
 
     def test_scaling_and_printing_guards_refuse_in_time(self):
         for argv, (code, out, err, seconds) in zip(
-            self.REFUSED, run_batch(self.REFUSED)
+            self.REFUSED, run_among_files(self.REFUSED)
         ):
             assert (code, out) == (3, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -1125,10 +1168,7 @@ class TestGrammarFuzz:
     @example(batch=REFUSED + TestHarness.GUARDED)
     @given(batch=BATCHES)
     def test_every_command_answers_or_refuses_in_time(self, batch):
-        with tempfile.TemporaryDirectory() as work:
-            for name, text in FILES.items():
-                Path(work, name).write_text(text)
-            results = run_batch(batch, cwd=work)
+        results = run_among_files(batch)
         for argv, (code, out, err, seconds) in zip(batch, results):
             assert code in (0, 1, 2, 3), (argv, err)
             assert "Traceback" not in err, argv

@@ -126,6 +126,27 @@ class TestPrimeSignature:
         with pytest.raises(InvalidParams):
             xn.PrimeSignature.of(1)
 
+    def test_trial_division_budget(self):
+        # 999983 is the largest prime up to the budget of 10**6: every base
+        # whose cofactor left after it is 1 or a prime below its square
+        # factors as before; a cofactor needing a larger divisor is refused
+        budget = xn.FACTOR_BUDGET
+        assert budget == 10**6
+        assert xn.PrimeSignature.of(999983 * 1000003).primes == (
+            (999983, 1), (1000003, 1),
+        )
+        assert xn.PrimeSignature.of(6 * 999983**2).primes == (
+            (2, 1), (3, 1), (999983, 2),
+        )
+        assert xn.PrimeSignature.of(2**80 * 1000003).primes == (
+            (2, 80), (1000003, 1),
+        )
+        for n in (1000003**2, 10**24 + 7, 2 * 1000003 * 1000033):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match="trial division past 1000000"):
+                xn.PrimeSignature.of(n)
+            assert time.perf_counter() - start < 2
+
 
 class TestValuation:
     def test_frozen_examples(self):

@@ -7,9 +7,15 @@ recurrence otherwise; the claimed closed forms are only ever compared,
 never trusted.
 """
 
+import functools
 import operator
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -133,13 +139,12 @@ class TestEnumeration:
             LevelPermGroup(2, 2, tuple(group))  # depth mismatch
 
     def test_verify_closure_counts_pairs(self):
-        # the generating set grows 1 -> 2 -> 3 as <S> doubles 1 -> 2 -> 4
-        # -> 8; each step multiplies the old members by the new generator
-        # and each new member by all |S| generators
+        # the generating set S_i grows 1 -> 2 -> 3 as <S> doubles from
+        # H_i = 1 -> 2 -> 4 to 8; with one new coset a step costs
+        # 1 + |H_i| + |S_i|: the identity times t, the fill of H_i.t, and
+        # t times every generator
         group = enumerate_level_group(2, 2)
-        assert group.verify_closure() == (
-            (1 + 1 * 1) + (2 + 2 * 2) + (4 + 4 * 3)
-        )
+        assert group.verify_closure() == (1 + 1 + 1) + (1 + 2 + 2) + (1 + 4 + 3)
 
     def test_verify_closure_rejects_exactly_the_unclosed_subsets(self):
         # every subset of G_2 at n = 2 holding the identity and its inverses:
@@ -168,6 +173,127 @@ class TestEnumeration:
                 rejected += 1
         # G_2 at n = 2 is the dihedral group of order 8: 10 subgroups
         assert (accepted, rejected) == (10, 54)
+
+
+def _adjoin_within(members, tables, tops, within) -> int:
+    """Grow the group members generated by tables by the generators tops,
+    multiplying every new member by every generator; a product outside
+    within raises InvalidParams."""
+    pending = [_padded(top) for top in tops]
+    tables += pending
+    frontier, checked = list(members), 0
+    while frontier:
+        checked += len(frontier) * len(pending)
+        nxt = []
+        for f in frontier:
+            for table in pending:
+                prod = f.translate(table)
+                if prod not in members:
+                    if prod not in within:
+                        raise InvalidParams("not closed under composition")
+                    members.add(prod)
+                    nxt.append(prod)
+        frontier, pending = nxt, tables
+    return checked
+
+
+def _element_certificate(group) -> int:
+    """The element-by-element closure certificate, O(|G| * |S|)
+    compositions: the oracle for the coset certificate."""
+    reached, tables, checked = {bytes(range(group.n**group.k))}, [], 0
+    for top in group.tops:
+        if top not in reached:
+            checked += _adjoin_within(
+                reached, tables, [top], set(group.tops)
+            )
+    if len(reached) != len(group.tops):
+        raise InvalidParams("generated too few elements")
+    return checked
+
+
+_level_group = functools.lru_cache(maxsize=None)(enumerate_level_group)
+
+
+def _inverse(top: bytes) -> bytes:
+    return bytes.maketrans(top, bytes(range(len(top))))[: len(top)]
+
+
+class TestCosetCertificate:
+    @given(
+        shape=st.sampled_from([(2, 3), (3, 2)]),
+        gens=st.lists(st.integers(min_value=0), max_size=3),
+        toggles=st.lists(st.integers(min_value=0), max_size=3),
+    )
+    def test_agrees_with_the_element_certificate(self, shape, gens, toggles):
+        # a subgroup <gens> with up to three elements (and their inverses)
+        # toggled in or out: closed or not, the coset certificate accepts
+        # exactly when the element-by-element one does
+        group = _level_group(*shape)
+        tops = group.tops
+        identity = tops[0]
+        chosen = _generated([tops[i % len(tops)] for i in gens] or [identity])
+        for i in toggles:
+            top = tops[i % len(tops)]
+            if top != identity:
+                pair = {top, _inverse(top)}
+                chosen = chosen - pair if top in chosen else chosen | pair
+        subset = LevelPermGroup(
+            group.n, group.k, tops=tuple(t for t in tops if t in chosen)
+        )
+        try:
+            _element_certificate(subset)
+        except InvalidParams:
+            with pytest.raises(InvalidParams):
+                subset.verify_closure()
+        else:
+            assert subset.verify_closure() <= 2 * len(subset)
+
+    def test_error_is_the_same_under_any_hash_seed(self):
+        # {shift 0, 1, 7} is refused with two generated shifts outside it;
+        # the message names the least, not the first in set order, and
+        # the raise is explicit, so it survives python -O
+        code = (
+            "from bslat.lab import LevelPermGroup, _shift_element\n"
+            "shifts = tuple(_shift_element(2, 3, a) for a in (0, 1, 7))\n"
+            "try:\n"
+            "    LevelPermGroup(2, 3, shifts).verify_closure()\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        messages = {
+            subprocess.run(
+                [sys.executable, "-O", "-c", code],
+                capture_output=True, text=True, check=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1", "2", "3")
+        }
+        assert len(messages) == 1
+        assert messages.pop().startswith(
+            "InvalidParams not closed under composition"
+        )
+
+    def test_size_guard_stops_a_huge_subgroup(self):
+        # the 64 shifts are a closed subgroup H; t = reflection then a top
+        # swap sorts after them, and <H, t> has more than 10**6 elements:
+        # the reached set must be refused once it outgrows the 66 elements
+        n, k = 2, 6
+        shifts = [_shift_element(n, k, a) for a in range(n**k)]
+        swap = bytearray(range(64))
+        swap[0], swap[32] = 32, 0
+        t = bytes(63 - x for x in range(64)).translate(_padded(bytes(swap)))
+        extra = [
+            LevelPermAutomorphism(
+                n, LevelPermAutomorphism.of_valid_top(n, top).perms
+            )
+            for top in (t, _inverse(t))
+        ]
+        group = LevelPermGroup(n, k, tuple(shifts + extra))
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="not closed"):
+            group.verify_closure()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCentralizer:
@@ -273,8 +399,12 @@ class TestCentralizerSearch:
         monkeypatch.setattr(LevelPermAutomorphism, "__post_init__", counting)
         group = enumerate_level_group(2, 4)
         assert built == []
-        # the same generating set S as the element-by-element certificate
-        assert group.verify_closure() == 491520
+        # fifteen index-2 steps: sum of 1 + |H_i| + |S_i| over
+        # |H_i| = 2**(i - 1), |S_i| = i, against 491,520 for the
+        # element-by-element certificate
+        assert group.verify_closure() == 32902 == sum(
+            1 + 2 ** (i - 1) + i for i in range(1, 16)
+        )
         assert len(centralizer(_shift_element(2, 4, 1), group)) == 16
         assert built == [4]  # the shift itself
 

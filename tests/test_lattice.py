@@ -6,6 +6,7 @@ force scan over conjugated generator powers, which is the ground truth the
 closed forms must reproduce.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from bslat.errors import (
     InvalidParams,
     NotStraightenable,
     ParseError,
+    TooLarge,
     ZeroTranslation,
 )
 from bslat.exactnum import in_ball, unit_in_base
@@ -411,6 +413,22 @@ class TestCovolume:
         assert covolume_from_quotient(
             [QuotientEntry(v0, Fraction(1), 0, 2)], 2
         ) == Fraction(1, 2)
+
+    def test_height_past_the_scaling_cap_is_refused(self):
+        # 2**262143 is the last power of 2 within SCALING_CAP; past it the
+        # term would be past printing, so no power is built
+        v0 = TreeVertex(2, 0, Fraction(0))
+        for h in (262143, -262143):
+            assert covolume_from_quotient(
+                [QuotientEntry(v0, Fraction(3), h, 1)], 2
+            ) == 3 * Fraction(2) ** -h
+        for h in (262144, -262144, 99999999999):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match="more than 262144 bits"):
+                covolume_from_quotient(
+                    [QuotientEntry(v0, Fraction(3), h, 1)], 2
+                )
+            assert time.perf_counter() - start < 2
 
     def test_unreduced_multiplier(self):
         assert covolume(standard_embedding(2, 1, 1, 3)) == 3

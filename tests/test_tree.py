@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,16 @@ class TestTreeVertex:
         v = TreeVertex(6, -1, Fraction(1, 12))
         assert TreeVertex.from_json(6, v.to_json()) == v
         assert v.to_json() == {"h": -1, "c": "1/12"}
+
+    def test_json_height_past_the_scaling_cap_is_refused(self):
+        assert TreeVertex.from_json(2, {"h": 262143, "c": "5"}).c == 5
+        for h in (262144, -262144, 99999999999):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match="more than 262144 bits"):
+                TreeVertex.from_json(2, {"h": h, "c": "0"})
+            assert time.perf_counter() - start < 2
+        with pytest.raises(InvalidParams):  # the base is named first
+            TreeVertex.from_json(-2, {"h": 99999999999, "c": "0"})
 
 
 class TestLabels:
