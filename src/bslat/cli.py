@@ -147,16 +147,36 @@ def _emit(result: CommandResult, as_json: bool) -> int:
     return _EXIT[result.status]
 
 
+def _parse_json(text: str, where: str):
+    """The value of JSON text.  Text that is not JSON, or that Python cannot
+    hold (an integer literal past the digit limit, nesting past the
+    recursion limit), is a ParseError naming where the text came from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    except ValueError as exc:  # int() past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{where}: an integer exceeds {limit} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}: nested too deeply") from exc
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise ParseError(
             f"cannot read {path}: {exc.strerror or exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return _parse_json(text, path)
 
 
 def _write_text(path: str, content: str):
@@ -174,7 +194,7 @@ def _spec_from_payload(payload) -> EmbeddingSpec:
         return EmbeddingSpec.from_json(payload)
     except (ParseError, ValidationError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"embedding record is malformed: {exc}") from exc
 
 
@@ -386,10 +406,11 @@ def _cmd_tree_aeta(args) -> CommandResult:
             },
         )
     try:
-        lists = json.loads(args.perms)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--perms: {exc}") from exc
-    perm = LevelPermAutomorphism.from_lists(args.n, lists)
+        perm = LevelPermAutomorphism.from_lists(
+            args.n, _parse_json(args.perms, "--perms")
+        )
+    except TypeError as exc:  # not a list of lists of numbers
+        raise ParseError(f"--perms is malformed: {exc}") from exc
     eta = translation_amount(perm)
     return CommandResult(
         "ok",
@@ -534,7 +555,7 @@ def _cmd_covol_from_quotient(args) -> CommandResult:
         ]
     except (ParseError, ValidationError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"quotient record is malformed: {exc}") from exc
     total = covolume_from_quotient(entries, n)
     return CommandResult(

@@ -59,10 +59,12 @@ def power_exceeds(base: int, exponent: int, cap: int) -> bool:
 
 
 def check_scaling(n: int, power: int):
-    """Refuse n**power past SCALING_CAP, before it is built."""
+    """Refuse n**power past SCALING_CAP, before it is built; a negative
+    power is worded by its denominator, which is what has the bits."""
     if power_exceeds(abs(n), abs(power), SCALING_CAP):
         bits = SCALING_CAP.bit_length()
-        raise TooLarge(f"{n}^{power} has more than {bits} bits")
+        part = "the denominator of " if power < 0 else ""
+        raise TooLarge(f"{part}{n}^{power} has more than {bits} bits")
 
 
 def check_printable(n: int, h: int):

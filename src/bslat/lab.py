@@ -126,12 +126,12 @@ class LevelPermGroup:
     them by their permutation tables.  Built from ``tops=``, it trusts them
     to be the tops of valid automorphisms already in that order, as the
     enumerator and the centralizer search pass them.  Either way equal
-    groups compare equal and reports are deterministic, and construction
-    checks the cheap invariants (duplicate-free, identity and all inverses
-    present); composition closure is certified exhaustively, coset by
-    coset in about |G| compositions, by verify_closure, which the
-    enumerator and centralizer always run.  Elements are built only when
-    the group is iterated.
+    groups compare equal and reports are deterministic.  Construction
+    refuses duplicates and a missing identity, then certifies closure under
+    composition by verify_closure, in about |G| compositions.  A finite set
+    holding the identity and closed under composition holds every inverse,
+    so every LevelPermGroup is a group.  Elements are built only when the
+    group is iterated.
     """
 
     n: int
@@ -164,11 +164,8 @@ class LevelPermGroup:
         identity = bytes(range(self.n**self.k))
         if identity not in members:
             raise InvalidParams("identity missing")
-        for top in members:
-            # the table sending top[y] to y, cut to the labels: the inverse
-            if bytes.maketrans(top, identity)[: len(top)] not in members:
-                raise InvalidParams("not closed under inverse")
         object.__setattr__(self, "_members", members)
+        self.verify_closure()
 
     def __len__(self):
         return len(self.tops)
@@ -263,12 +260,10 @@ def enumerate_level_group(n: int, k: int) -> LevelPermGroup:
 
     The tops come from tree.enumerate_cone_tops (an independent digit
     permutation above each vertex, level by level) already in canonical
-    order; the closure of the group is certified exhaustively.
+    order; building the group certifies it.
     """
     _feasibility_guard(n, k)
-    group = LevelPermGroup(n, k, tops=tuple(enumerate_cone_tops(n, k)))
-    group.verify_closure()
-    return group
+    return LevelPermGroup(n, k, tops=tuple(enumerate_cone_tops(n, k)))
 
 
 def level_group_order_formula(n: int, k: int) -> int:
@@ -354,7 +349,8 @@ def centralizer(
     g: LevelPermAutomorphism, group: LevelPermGroup
 ) -> LevelPermGroup:
     """The elements of group commuting with g, by an exhaustive lift search
-    in the full depth-k group intersected with group."""
+    in the full depth-k group intersected with group; building the result
+    certifies it."""
     if g.n != group.n:
         raise BaseMismatch("element over a different base")
     if g.depth != group.k:
@@ -370,11 +366,9 @@ def centralizer(
             f"cap is {SIZE_CAP}"
         )
     found = set(_commuting_tops(_top_of(g), group.n))
-    result = LevelPermGroup(
+    return LevelPermGroup(
         group.n, group.k, tops=tuple(t for t in group.tops if t in found)
     )
-    result.verify_closure()
-    return result
 
 
 def _shift_element(n: int, k: int, amount: int) -> LevelPermAutomorphism:
@@ -500,7 +494,9 @@ def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
         size = base**i
         shift = int(nadic_residue(value, i, base))
         seen = bytearray(size)
-        total = Fraction(0)
+        # the sum over orbits of weight * |orbit| * n**-i, with the common
+        # factor weight * n**-i taken out, so each orbit adds an int
+        total = 0
         for start in range(size):
             if seen[start]:
                 continue
@@ -510,8 +506,8 @@ def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
                 seen[y] = 1
                 orbit += 1
                 y = (y + shift) % size
-            total += weight * orbit * Fraction(base) ** (-i)
-        sums.append(total)
+            total += orbit
+        sums.append(weight * total * Fraction(base) ** (-i))
     return LemmaReport.of(
         lemma="orbit-sum-constancy",
         params={

@@ -977,7 +977,33 @@ GENERATORS = st.sampled_from(
     ["A", "B", "C", "D", "Q1", "Q99999999999", "theta_3",
      "theta_99999999999", "X"]
 )
-PERMS = st.sampled_from(["[[1,0]]", "[[0,1],[1,0,3,2]]", "[[", "[]", "[[0]]"])
+# deeper than the recursion limit, and an integer literal past the digit
+# limit, in a JSON text
+DEEP = "[" * 100000 + "]" * 100000
+DIGITS = "9" * 5000
+PERMS = st.sampled_from([
+    "[[1,0]]", "[[0,1],[1,0,3,2]]", "[[", "[]", "[[0]]",
+    "[" * 20000 + "]" * 20000, f"[[{DIGITS}]]", f"[[1,0],[{DIGITS},0,1,2]]",
+    "[[NaN,0]]", "[[Infinity]]", "[[1e400,0]]", "[[-Infinity,1]]",
+    "5", "null", "true", '"10"', "[[true,false]]", "[[0.0,1.0]]",
+    '{"0": [1, 0]}', '[{"a": 1}]', '[[1, "a"]]', "[[[1],[0]]]", "[5]",
+])
+
+
+def _phi_with(h) -> str:
+    """The record of phi with the literal h as its first map's height."""
+    record = standard_embedding(2, 1, 1, 3).to_json()
+    record["a"]["h"] = "HEIGHT"
+    return json.dumps(record).replace('"HEIGHT"', h)
+
+
+def _quotient_with(h_v) -> str:
+    """A one-entry quotient record with the literal h_v as its h_v."""
+    return json.dumps({"n": 2, "entries": [
+        {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": "H_V", "stab0": 1}
+    ]}).replace('"H_V"', h_v)
+
+
 # files written into the child's working directory
 FILES = {
     "phi.json": json.dumps(standard_embedding(2, 1, 1, 3).to_json()),
@@ -995,6 +1021,20 @@ FILES = {
         {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": 99999999999,
          "stab0": 1}
     ]}),
+    # data that parses to values no record reader can hold
+    "digits.json": _phi_with(DIGITS),
+    "deep.json": DEEP,
+    "utf16.json": b"\xff\xfe" + "{}".encode("utf-16-le"),
+    "infinite_h.json": _phi_with("Infinity"),
+    "overflow_h.json": _phi_with("1e400"),
+    "nan_h.json": _phi_with("NaN"),
+    "true_h.json": _phi_with("true"),
+    "list_h.json": _phi_with("[0]"),
+    "infinite_h_v.json": _quotient_with("Infinity"),
+    "overflow_h_v.json": _quotient_with("-1e400"),
+    "digits_h_v.json": _quotient_with(DIGITS),
+    "deep_h_v.json": _quotient_with(DEEP),
+    "list.json": "[1, 2]",
 }
 PATHS = st.sampled_from([*FILES, "missing.json"])
 
@@ -1003,7 +1043,8 @@ def run_among_files(argvs):
     """run_batch in a fresh working directory holding FILES."""
     with tempfile.TemporaryDirectory() as work:
         for name, text in FILES.items():
-            Path(work, name).write_text(text)
+            data = text if isinstance(text, bytes) else text.encode()
+            Path(work, name).write_bytes(data)
         return run_batch(argvs, cwd=work)
 
 
@@ -1133,6 +1174,28 @@ class TestGrammarFuzz:
         ["covol", "from-quotient", "--file", "high_h_v.json"],
     ]
 
+    # each of these printed a traceback: JSON text that Python cannot hold,
+    # and records holding floats that no integer field can take
+    HOSTILE_JSON = [
+        ["embed", "classify", "--file", "digits.json"],
+        ["embed", "classify", "--file", "deep.json"],
+        ["embed", "classify", "--file", "utf16.json"],
+        ["embed", "auto-equiv", "phi.json", "infinite_h.json"],
+        ["embed", "auto-equiv", "overflow_h.json", "phi.json"],
+        ["covol", "from-quotient", "--file", "infinite_h_v.json"],
+        ["tree", "aeta", "--n", "2", "--perms", "[" * 20000 + "]" * 20000],
+        ["tree", "aeta", "--n", "2", "--perms", f"[[{DIGITS}]]"],
+    ]
+
+    def test_hostile_json_is_a_parse_error(self):
+        for argv, (code, out, err, seconds) in zip(
+            self.HOSTILE_JSON, run_among_files(self.HOSTILE_JSON)
+        ):
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "Traceback" not in err, argv
+            assert seconds < 2, argv
+
     def test_scaling_and_printing_guards_refuse_in_time(self):
         for argv, (code, out, err, seconds) in zip(
             self.REFUSED, run_among_files(self.REFUSED)
@@ -1165,7 +1228,7 @@ class TestGrammarFuzz:
         ]
 
     @settings(max_examples=4, phases=[Phase.explicit, Phase.generate])
-    @example(batch=REFUSED + TestHarness.GUARDED)
+    @example(batch=REFUSED + HOSTILE_JSON + TestHarness.GUARDED)
     @given(batch=BATCHES)
     def test_every_command_answers_or_refuses_in_time(self, batch):
         results = run_among_files(batch)

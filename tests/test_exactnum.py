@@ -642,3 +642,13 @@ class TestSizeTable:
         assert refusal(_certification_guard, n, depth) == refusal(
             old_certification_guard, n, depth
         )
+
+    def test_check_scaling_words_a_negative_power_by_its_denominator(self):
+        assert refusal(xn.check_scaling, 2, 262143) is None
+        assert refusal(xn.check_scaling, 2, -262143) is None
+        assert refusal(xn.check_scaling, 2, 300000) == (
+            "2^300000 has more than 262144 bits"
+        )
+        assert refusal(xn.check_scaling, 2, -300000) == (
+            "the denominator of 2^-300000 has more than 262144 bits"
+        )

@@ -163,13 +163,14 @@ class TestEnumeration:
             closed = all(
                 f.compose(g) in subset for f in subset for g in subset
             )
-            group = LevelPermGroup(2, 2, tuple(subset))
             if closed:
+                group = LevelPermGroup(2, 2, tuple(subset))
                 group.verify_closure()
                 accepted += 1
             else:
+                # construction runs the certificate
                 with pytest.raises(InvalidParams):
-                    group.verify_closure()
+                    LevelPermGroup(2, 2, tuple(subset))
                 rejected += 1
         # G_2 at n = 2 is the dihedral group of order 8: 10 subgroups
         assert (accepted, rejected) == (10, 54)
@@ -197,16 +198,15 @@ def _adjoin_within(members, tables, tops, within) -> int:
     return checked
 
 
-def _element_certificate(group) -> int:
-    """The element-by-element closure certificate, O(|G| * |S|)
-    compositions: the oracle for the coset certificate."""
-    reached, tables, checked = {bytes(range(group.n**group.k))}, [], 0
-    for top in group.tops:
+def _element_certificate(tops) -> int:
+    """The element-by-element closure certificate of the tops, which hold
+    the identity, in O(|G| * |S|) compositions: the oracle for the coset
+    certificate."""
+    reached, tables, checked = {bytes(range(len(tops[0])))}, [], 0
+    for top in tops:
         if top not in reached:
-            checked += _adjoin_within(
-                reached, tables, [top], set(group.tops)
-            )
-    if len(reached) != len(group.tops):
+            checked += _adjoin_within(reached, tables, [top], set(tops))
+    if len(reached) != len(tops):
         raise InvalidParams("generated too few elements")
     return checked
 
@@ -237,16 +237,56 @@ class TestCosetCertificate:
             if top != identity:
                 pair = {top, _inverse(top)}
                 chosen = chosen - pair if top in chosen else chosen | pair
-        subset = LevelPermGroup(
-            group.n, group.k, tops=tuple(t for t in tops if t in chosen)
-        )
+        kept = tuple(t for t in tops if t in chosen)
         try:
-            _element_certificate(subset)
+            _element_certificate(kept)
         except InvalidParams:
+            # construction runs the certificate
             with pytest.raises(InvalidParams):
-                subset.verify_closure()
+                LevelPermGroup(group.n, group.k, tops=kept)
         else:
+            subset = LevelPermGroup(group.n, group.k, tops=kept)
             assert subset.verify_closure() <= 2 * len(subset)
+            assert {_inverse(t) for t in subset.tops} == set(subset.tops)
+
+    @given(
+        shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+        gens=st.lists(st.integers(min_value=0), max_size=3),
+        toggles=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    )
+    def test_a_closed_set_holds_every_inverse(self, shape, gens, toggles):
+        # single elements toggled, so a set may miss an inverse: a finite
+        # set holding the identity and closed under composition is a group
+        # (Dummit and Foote, Abstract Algebra, 3rd ed., section 2.1), so
+        # construction, which certifies only composition, accepts exactly
+        # what the element certificate accepts, and never a set missing
+        # an inverse
+        group = _level_group(*shape)
+        tops = group.tops
+        chosen = _generated([tops[i % len(tops)] for i in gens] or [tops[0]])
+        for i in toggles:
+            if tops[i % len(tops)] != tops[0]:
+                chosen ^= {tops[i % len(tops)]}
+        kept = tuple(t for t in tops if t in chosen)
+        try:
+            _element_certificate(kept)
+        except InvalidParams:
+            with pytest.raises(InvalidParams, match="not closed"):
+                LevelPermGroup(group.n, group.k, tops=kept)
+        else:
+            subset = LevelPermGroup(group.n, group.k, tops=kept)
+            assert {_inverse(t) for t in subset.tops} == chosen
+
+    def test_a_set_missing_an_inverse_is_refused_when_built(self):
+        # the 4-cycle's inverse is its cube; its square, the first product
+        # outside the set, is what the refusal names
+        identity, cycle = bytes([0, 1, 2, 3]), bytes([1, 2, 3, 0])
+        with pytest.raises(
+            InvalidParams,
+            match=r"^not closed under composition: "
+            r"the generated \[2, 3, 0, 1\] leaves the set$",
+        ):
+            LevelPermGroup(2, 2, tops=(identity, cycle))
 
     def test_error_is_the_same_under_any_hash_seed(self):
         # {shift 0, 1, 7} is refused with two generated shifts outside it;
@@ -289,10 +329,9 @@ class TestCosetCertificate:
             )
             for top in (t, _inverse(t))
         ]
-        group = LevelPermGroup(n, k, tuple(shifts + extra))
         start = time.perf_counter()
         with pytest.raises(InvalidParams, match="not closed"):
-            group.verify_closure()
+            LevelPermGroup(n, k, tuple(shifts + extra))
         assert time.perf_counter() - start < 1.0
 
 

@@ -3,6 +3,7 @@
 Self-checks must survive ``python -O``, which strips ``assert`` statements,
 so every check in ``src/bslat`` raises explicitly instead.  The literal
 (k, j) search and the table of size caps exist once, in ``exactnum``.
+JSON text is parsed in one place, ``cli._parse_json``.
 """
 
 import ast
@@ -59,4 +60,38 @@ def test_size_caps_live_in_exactnum():
         if isinstance(name, ast.Name)
         and name.id.endswith(("_CAP", "_BUDGET"))
     ]
+    assert found == []
+
+
+def test_json_is_parsed_in_one_place():
+    # cli._parse_json turns every JSON text Python cannot hold into a
+    # ParseError; a second reader would miss those inputs
+    def reads_json(node):
+        if isinstance(node, ast.Attribute):
+            return (
+                node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            )
+        return (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in ("load", "loads") for alias in node.names)
+        )
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        helper = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and (path.name, function.name) == ("cli.py", "_parse_json")
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if reads_json(node) and id(node) not in helper
+        ]
     assert found == []
