@@ -792,37 +792,37 @@ def subtree_dot(
     return "\n".join(lines)
 
 
-def enumerate_cone_tops(n: int, depth: int):
+def enumerate_cone_tops(n: int, depth: int) -> tuple[bytes, ...]:
     """Top-level permutations of all depth-D cone automorphisms, as bytes,
     in the canonical order of their to_lists().
 
     The automorphisms of depth i over one of depth i - 1 are its identity
-    lift followed by an independent digit permutation above each vertex,
-    so each level is one bytes.translate per kernel table.  Sorting the
-    lifts of each coarse element in turn gives the canonical order.
-    Feasible only for tiny n**depth; the one enumerator behind the lab's
-    brute-force groups and certifications.
+    lift composed with an independent digit permutation above each vertex.
+    A kernel table T sends position y + size * d to y + size * sigma_y(d),
+    so one bytes.translate of T through the identity lift of a coarse top
+    c gives c[y] + size * sigma_y(d) there, which grows with T's entry.
+    Lifts of c therefore compare as their kernel tables do: the kernel is
+    sorted once per level, and the lifts of every coarse top come out in
+    canonical order.  Feasible only for tiny n**depth; the one enumerator
+    behind the lab's brute-force groups and certifications.
     """
     if power_exceeds(n, depth, 256):
         raise TooLarge(f"{n}^{depth} labels do not fit in a byte")
-    if depth == 0:
-        yield bytes(1)
-        return
-    size = n ** (depth - 1)
     digit_perms = list(itertools.permutations(range(n)))
-    padding = bytes(range(n * size, 256))
-    kernel = [
-        bytes(
-            y + size * assignment[y][digit]
-            for digit in range(n)
-            for y in range(size)
+    tops, size = (bytes(1),), 1
+    for _ in range(depth):
+        kernel = sorted(
+            bytes(
+                y + size * sigma[y][d] for d in range(n) for y in range(size)
+            )
+            for sigma in itertools.product(digit_perms, repeat=size)
         )
-        + padding
-        for assignment in itertools.product(digit_perms, repeat=size)
-    ]
-    for coarse in enumerate_cone_tops(n, depth - 1):
-        lift = bytes(
-            coarse[y] + size * digit for digit in range(n) for y in range(size)
+        steps, padding = range(0, n * size, size), bytes(range(n * size, 256))
+        lifts = (
+            map(bytes.translate, kernel, itertools.repeat(
+                bytes(b + step for step in steps for b in c) + padding
+            ))
+            for c in tops
         )
-        yield from sorted(lift.translate(table) for table in kernel)
-
+        tops, size = tuple(itertools.chain.from_iterable(lifts)), size * n
+    return tops

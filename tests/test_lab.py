@@ -288,17 +288,38 @@ class TestCosetCertificate:
         ):
             LevelPermGroup(2, 2, tops=(identity, cycle))
 
+    def test_an_outsider_is_refused_once_the_reached_set_outgrows_the_set(
+        self
+    ):
+        # the reflections a and b sort first; <a, b> holds their product
+        # [2, 3, 0, 1], outside the set, yet has no more elements than it,
+        # so the refusal comes when c's coset joins, and names the least
+        # of the four outsiders reached by then
+        a, b = bytes([0, 3, 2, 1]), bytes([2, 1, 0, 3])
+        c = bytes([3, 2, 1, 0])
+        with pytest.raises(
+            InvalidParams,
+            match=r"^not closed under composition: "
+            r"the generated \[1, 0, 3, 2\] leaves the set$",
+        ):
+            LevelPermGroup(2, 2, tops=(bytes(range(4)), a, b, c))
+
     def test_error_is_the_same_under_any_hash_seed(self):
-        # {shift 0, 1, 7} is refused with two generated shifts outside it;
-        # the message names the least, not the first in set order, and
-        # the raise is explicit, so it survives python -O
+        # {shift 0, 1, 7} is refused with two generated shifts outside it,
+        # and {1, a, b, c} above with four; each message names the least,
+        # not the first in set order, and the raise is explicit, so it
+        # survives python -O
         code = (
             "from bslat.lab import LevelPermGroup, _shift_element\n"
             "shifts = tuple(_shift_element(2, 3, a) for a in (0, 1, 7))\n"
-            "try:\n"
-            "    LevelPermGroup(2, 3, shifts).verify_closure()\n"
-            "except Exception as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
+            "tops = tuple(map(bytes, ([0, 1, 2, 3], [0, 3, 2, 1],\n"
+            "                         [2, 1, 0, 3], [3, 2, 1, 0])))\n"
+            "for build in (lambda: LevelPermGroup(2, 3, shifts),\n"
+            "              lambda: LevelPermGroup(2, 2, tops=tops)):\n"
+            "    try:\n"
+            "        build().verify_closure()\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         messages = {
@@ -310,8 +331,11 @@ class TestCosetCertificate:
             for seed in ("0", "1", "2", "3")
         }
         assert len(messages) == 1
-        assert messages.pop().startswith(
-            "InvalidParams not closed under composition"
+        shifts, tops = messages.pop().splitlines()
+        assert shifts.startswith("InvalidParams not closed under composition")
+        assert tops == (
+            "InvalidParams not closed under composition: "
+            "the generated [1, 0, 3, 2] leaves the set"
         )
 
     def test_size_guard_stops_a_huge_subgroup(self):

@@ -1013,7 +1013,11 @@ class TestEnumeration:
                 key=lambda g: g.to_lists(),
             )
         ]
-        assert list(enumerate_cone_tops(n, depth)) == expected
+        tops = enumerate_cone_tops(n, depth)
+        assert list(tops) == expected
+        # the kernel is sorted once per level, yet the tuple holds the
+        # lifts in the order a sort of each coarse top's lifts gives
+        assert tops == tuple(_sorted_lift_cone_tops(n, depth))
 
     def test_elements_are_the_validated_ones(self):
         for n, depth in [(2, 3), (3, 2)]:
@@ -1041,6 +1045,31 @@ class TestEnumeration:
         built = LevelPermAutomorphism.of_valid_top(2, bytes([3, 0, 1, 2]))
         assert checked == []
         assert built == levelwise_translation(TruncatedNAdic(2, 2, 3))
+
+
+def _sorted_lift_cone_tops(n, depth):
+    """The recursive bytes enumerator that sorts the lifts of each coarse
+    top in turn: the oracle for the once-sorted kernel."""
+    if depth == 0:
+        yield bytes(1)
+        return
+    size = n ** (depth - 1)
+    digit_perms = list(itertools.permutations(range(n)))
+    padding = bytes(range(n * size, 256))
+    kernel = [
+        bytes(
+            y + size * assignment[y][digit]
+            for digit in range(n)
+            for y in range(size)
+        )
+        + padding
+        for assignment in itertools.product(digit_perms, repeat=size)
+    ]
+    for coarse in _sorted_lift_cone_tops(n, depth - 1):
+        lift = bytes(
+            coarse[y] + size * digit for digit in range(n) for y in range(size)
+        )
+        yield from sorted(lift.translate(table) for table in kernel)
 
 
 def _validated_cone_automorphisms(n, depth):
