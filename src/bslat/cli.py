@@ -164,7 +164,20 @@ def _parse_json(text: str, where: str):
         raise ParseError(f"{where}: nested too deeply") from exc
 
 
-def _load_json(path: str):
+def _write_text(path: str, content: str):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content + "\n")
+    except OSError as exc:
+        raise ParseError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from exc
+
+
+def _load_record(path: str, kind: str, read):
+    """read() of the JSON record in a file.  An unreadable file is a
+    ParseError naming the file, and a missing or ill-typed field one naming
+    the kind of record."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -176,32 +189,17 @@ def _load_json(path: str):
         raise ParseError(
             f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
         ) from exc
-    return _parse_json(text, path)
-
-
-def _write_text(path: str, content: str):
+    payload = _parse_json(text, path)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content + "\n")
-    except OSError as exc:
-        raise ParseError(
-            f"cannot write {path}: {exc.strerror or exc}"
-        ) from exc
-
-
-def _spec_from_payload(payload) -> EmbeddingSpec:
-    try:
-        return EmbeddingSpec.from_json(payload)
-    except (ParseError, ValidationError):
-        raise
+        return read(payload)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"embedding record is malformed: {exc}") from exc
+        raise ParseError(f"{kind} record is malformed: {exc}") from exc
 
 
 def _obtain_spec(args) -> EmbeddingSpec:
     """Embedding from --file, or from the standard family flags."""
     if args.file is not None:
-        spec = _spec_from_payload(_load_json(args.file))
+        spec = _load_record(args.file, "embedding", EmbeddingSpec.from_json)
         for name in ("n", "l"):
             given = getattr(args, name)
             if given is not None and given != getattr(spec, name):
@@ -434,8 +432,7 @@ def _cmd_embed_classify(args) -> CommandResult:
 
 
 def _cmd_embed_validate(args) -> CommandResult:
-    spec = _obtain_spec(args)
-    problems = validate(spec)
+    problems = [str(problem) for problem in validate(_obtain_spec(args))]
     payload = {"valid": not problems, "problems": problems}
     if problems:
         return CommandResult("validation_error", payload, tuple(problems))
@@ -489,8 +486,8 @@ def _cmd_embed_conjugate(args) -> CommandResult:
 
 
 def _cmd_embed_auto_equiv(args) -> CommandResult:
-    first = _spec_from_payload(_load_json(args.first))
-    second = _spec_from_payload(_load_json(args.second))
+    first = _load_record(args.first, "embedding", EmbeddingSpec.from_json)
+    second = _load_record(args.second, "embedding", EmbeddingSpec.from_json)
     return CommandResult(
         "ok",
         {
@@ -540,23 +537,21 @@ def _cmd_covol_enumerate(args) -> CommandResult:
     )
 
 
+def _quotient_from_json(payload) -> tuple[int, list[QuotientEntry]]:
+    n = int(payload["n"])
+    return n, [
+        QuotientEntry(
+            TreeVertex.from_json(n, record["rep"]),
+            parse_rational(str(record["a_v"])),
+            int(record["h_v"]),
+            int(record["stab0"]),
+        )
+        for record in payload["entries"]
+    ]
+
+
 def _cmd_covol_from_quotient(args) -> CommandResult:
-    payload = _load_json(args.file)
-    try:
-        n = int(payload["n"])
-        entries = [
-            QuotientEntry(
-                TreeVertex.from_json(n, record["rep"]),
-                parse_rational(str(record["a_v"])),
-                int(record["h_v"]),
-                int(record["stab0"]),
-            )
-            for record in payload["entries"]
-        ]
-    except (ParseError, ValidationError):
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"quotient record is malformed: {exc}") from exc
+    n, entries = _load_record(args.file, "quotient", _quotient_from_json)
     total = covolume_from_quotient(entries, n)
     return CommandResult(
         "ok",
@@ -589,10 +584,14 @@ def _cmd_present_verify(args) -> CommandResult:
 # ---------------------------------------------------------------- lab
 
 
-def _cmd_lab_count(args) -> CommandResult:
-    report = level_group_report(args.n, args.k)
+def _report_result(report) -> CommandResult:
+    """A lab report's record, with its notes, if any, as the one note."""
     notes = (report.notes,) if report.notes else ()
     return CommandResult("ok", report.to_json(), notes)
+
+
+def _cmd_lab_count(args) -> CommandResult:
+    return _report_result(level_group_report(args.n, args.k))
 
 
 def _cmd_lab_centralizer(args) -> CommandResult:
@@ -622,20 +621,16 @@ def _cmd_lab_trans_search(args) -> CommandResult:
 
 
 def _cmd_lab_level_sum(args) -> CommandResult:
-    report = level_sum_report(
+    return _report_result(level_sum_report(
         parse_rational(args.gamma),
         parse_rational(args.a_v),
         args.depth,
         n=args.n,
-    )
-    notes = (report.notes,) if report.notes else ()
-    return CommandResult("ok", report.to_json(), notes)
+    ))
 
 
 def _cmd_lab_jordan(args) -> CommandResult:
-    report = jordan_index_report(args.n, args.k, args.m)
-    notes = (report.notes,) if report.notes else ()
-    return CommandResult("ok", report.to_json(), notes)
+    return _report_result(jordan_index_report(args.n, args.k, args.m))
 
 
 # ---------------------------------------------------------------- wiring

@@ -26,6 +26,7 @@ from .errors import (
     CaseInvalid,
     InvalidParams,
     NotStraightenable,
+    ValidationError,
     ZeroTranslation,
 )
 from .exactnum import (
@@ -155,50 +156,47 @@ def standard_embedding(n: int, l: int, s, m: int) -> EmbeddingSpec:
     return EmbeddingSpec(n, l, img_a, img_b)
 
 
-def validate(spec: EmbeddingSpec) -> list[str]:
-    """All violated embedding invariants, in checking order; empty means ok."""
+def validate(spec: EmbeddingSpec) -> list[ValidationError]:
+    """All violated embedding invariants, in checking order, each as the
+    error it raises; empty means ok."""
     problems = []
     if spec.l < 1:
-        problems.append(f"l must be >= 1, got {spec.l}")
+        problems.append(InvalidParams(f"l must be >= 1, got {spec.l}"))
     if spec.imgA.eps != 1 or spec.imgB.eps != 1:
-        problems.append("generator images must be orientation-preserving")
-    if spec.imgA.h != 0:
         problems.append(
-            f"image of a must be elliptic, height change is {spec.imgA.h}"
+            InvalidParams("generator images must be orientation-preserving")
         )
+    if spec.imgA.h != 0:
+        problems.append(InvalidParams(
+            f"image of a must be elliptic, height change is {spec.imgA.h}"
+        ))
     if spec.imgB.h != spec.l:
-        problems.append(
+        problems.append(InvalidParams(
             f"stable letter must have height change {spec.l}, "
             f"got {spec.imgB.h}"
-        )
+        ))
     if spec.imgA.tree.u != 1:
-        problems.append(
+        problems.append(InvalidParams(
             "tree part of the image of a must be a translation (u = 1): "
             "otherwise its square is a pure real translation whose "
             "conjugates accumulate at the identity"
-        )
+        ))
     if spec.imgA.alpha == 0:
-        problems.append("image of a must have nonzero translation distance")
+        problems.append(ZeroTranslation(
+            "image of a must have nonzero translation distance"
+        ))
     if spec.imgA.tree.beta == 0:
-        problems.append("image of a must move the tree (beta != 0)")
+        problems.append(
+            ZeroTranslation("image of a must move the tree (beta != 0)")
+        )
     if not problems:
         power = spec.imgA.power(spec.n**spec.l)
         if spec.imgA.conjugated_by(spec.imgB) != power:
-            problems.append(
+            problems.append(InvalidParams(
                 "defining relation fails: conjugating the image of a by the "
                 f"stable letter is not its {spec.n}^{spec.l}-th power"
-            )
+            ))
     return problems
-
-
-def _require_valid(spec: EmbeddingSpec):
-    problems = validate(spec)
-    if not problems:
-        return
-    first = problems[0]
-    if "nonzero translation" in first or "beta != 0" in first:
-        raise ZeroTranslation(first)
-    raise InvalidParams(first)
 
 
 def _h0_by_axis_walk(spec: EmbeddingSpec) -> int:
@@ -224,8 +222,11 @@ def classify(spec: EmbeddingSpec) -> EmbeddingClass:
     levels higher; m = n**(l*k) / j.  h0 is read off the valuations and
     checked against a walk along the axis; (k, j) comes from
     exactnum.transitive_pair, which checks itself against a literal search.
+    An invalid embedding raises the first problem that validate finds.
     """
-    _require_valid(spec)
+    problems = validate(spec)
+    if problems:
+        raise problems[0]
     n, l = spec.n, spec.l
     beta = spec.imgA.tree.beta
     h0 = valuation_in_base(beta, n)
@@ -357,11 +358,10 @@ def straighten(
     The real components are untouched (they are matched by the ambient real
     scaling, not by a tree conjugation).
     """
-    _require_valid(spec)
+    classified = classify(spec)
     if depth < 1:
         raise InvalidParams("depth must be >= 1")
     n, l = spec.n, spec.l
-    classified = classify(spec)
     if classified.m != 1 or classified.h0 != 0:
         raise NotStraightenable(
             f"embedding has (m, h0) = ({classified.m}, {classified.h0}); "

@@ -14,12 +14,13 @@ Three kinds of maps act on it:
 * ``LevelPermAutomorphism`` -- a general automorphism of the upward cone of a
   vertex, truncated at finite depth D and stored as one permutation of
   Z/n**i per level i <= D.
-* ``PartialTreeMap`` -- a finite association list of vertex pairs, used for
-  conjugators built on a window around an axis.
+* ``PartialTreeMap`` -- a conjugator on a finite window around an axis,
+  kept as integer rows from which its vertex pairs are built when read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -492,7 +493,16 @@ class LevelPermAutomorphism:
 
     @staticmethod
     def from_lists(n: int, lists) -> "LevelPermAutomorphism":
-        return LevelPermAutomorphism(n, tuple(tuple(p) for p in lists))
+        """The automorphism of outside input, whose labels must be ints:
+        true, 1.0 or "a" is refused like any other non-permutation."""
+        perms = tuple(tuple(p) for p in lists)
+        _prime_signature(n)  # a bad base is named before a bad label
+        for i, perm in enumerate(perms, start=1):
+            if any(type(label) is not int for label in perm):
+                raise InvalidParams(
+                    f"level {i} is not a permutation of Z/{n}^{i}"
+                )
+        return LevelPermAutomorphism(n, perms)
 
 
 def restrict_to_up(
@@ -540,67 +550,20 @@ def translation_amount(f: LevelPermAutomorphism) -> TruncatedNAdic:
 
 @dataclass(frozen=True)
 class PartialTreeMap:
-    """Finite injective vertex map with a constant height change.
+    """Finite injective vertex map that keeps heights, on a window around
+    an axis: the map build_conjugator builds and certifies.
 
-    Pairs are kept sorted by source (height, center) so equal maps compare
-    and serialize identically.  Parent links are preserved wherever both
-    endpoints lie in the domain.
+    ``layers`` holds one (h, a, d, q, targets) per height, in increasing
+    order.  The source with residue y has center (a + d*y) / q and goes to
+    the one with residue targets[y], so y order is canonical order.  The
+    vertex pairs are built from these rows when first read.
     """
 
     n: int
-    pairs: tuple[tuple[TreeVertex, TreeVertex], ...]
+    layers: tuple[tuple[int, int, int, int, tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        ordered = tuple(
-            sorted(self.pairs, key=lambda pair: (pair[0].h, pair[0].c))
-        )
-        object.__setattr__(self, "pairs", ordered)
-        sources = {}
-        targets = set()
-        height_change = None
-        for source, target in ordered:
-            if source.n != self.n or target.n != self.n:
-                raise BaseMismatch("vertex over a different base")
-            if source in sources:
-                raise InvalidParams(f"duplicate source {source}")
-            if target in targets:
-                raise InvalidParams(f"not injective at {target}")
-            sources[source] = target
-            targets.add(target)
-            delta = target.h - source.h
-            if height_change is None:
-                height_change = delta
-            elif delta != height_change:
-                raise InvalidParams(
-                    f"height change {delta} at {source} differs from "
-                    f"{height_change}"
-                )
-        for source, target in ordered:
-            below = sources.get(source.parent)
-            if below is not None and target.parent != below:
-                raise InvalidParams(
-                    f"parent link broken at {source}"
-                )
-
-    # the integer window of a trusted map; None for a validated one
-    layers = None
-
-    @staticmethod
-    def of_valid_layers(n: int, layers) -> "PartialTreeMap":
-        """Trusted: a window already certified by build_conjugator, as one
-        (h, a, d, q, targets) per height in increasing order.  The source
-        with residue y has center (a + d*y) / q and goes to the one with
-        residue targets[y], so y order is canonical order.  Nothing is
-        checked, and the vertex pairs are built when first read."""
-        g = object.__new__(PartialTreeMap)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "layers", tuple(layers))
-        return g
-
-    def __getattr__(self, name):
-        # reached only while the pairs of a trusted map are not yet built
-        if name != "pairs" or self.layers is None:
-            raise AttributeError(name)
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[TreeVertex, TreeVertex], ...]:
         pairs = []
         for h, a, d, q, targets in self.layers:
             built = [
@@ -608,8 +571,7 @@ class PartialTreeMap:
                 for y in range(len(targets))
             ]
             pairs += [(built[y], built[t]) for y, t in enumerate(targets)]
-        object.__setattr__(self, "pairs", tuple(pairs))
-        return self.pairs
+        return tuple(pairs)
 
     @property
     def domain(self) -> tuple[TreeVertex, ...]:
@@ -622,9 +584,7 @@ class PartialTreeMap:
         raise NotMember(f"{v} outside the domain")
 
     def __len__(self):
-        if self.layers is not None:
-            return sum(len(layer[-1]) for layer in self.layers)
-        return len(self.pairs)
+        return sum(len(layer[-1]) for layer in self.layers)
 
     def __contains__(self, v: TreeVertex):
         return any(source == v for source, _ in self.pairs)
@@ -651,6 +611,9 @@ def build_conjugator(
     On integers: (h, w), w in Z/n**depth, is the ball x* + n**(h - depth) *
     (w + n**depth * Z_n).  b and b' fix x*, so b**k takes it to (h + k*l,
     r**k * w) with r = u / n**l mod n**depth, and b' with its own r.
+
+    The rows certified by _certify_window are returned as the map's layers;
+    no vertex is built until a caller reads the map's pairs.
     """
     if b.n != b_prime.n:
         raise BaseMismatch("maps over different bases")
@@ -725,9 +688,9 @@ def build_conjugator(
         row = rows[h]
         # canonical order: by residue y, whose label w = y - shift (an index
         # that wraps round when negative, as 0 <= shift < size)
-        targets = [(row[y - shift] + shift) % size for y in range(size)]
+        targets = tuple((row[y - shift] + shift) % size for y in range(size))
         layers.append((h, a, d, q, targets))
-    return PartialTreeMap.of_valid_layers(n, layers)
+    return PartialTreeMap(n, tuple(layers))
 
 
 def _certify_window(rows, vertex, n: int, length: int, unit_b, unit_bp):

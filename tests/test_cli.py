@@ -349,6 +349,17 @@ class TestTreeVerbs:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "perms",
+        ["[[true,false]]", "[[0.0,1.0],[0,1,2,3]]", '[["a","b"]]', '[[0,"a"]]'],
+    )
+    def test_aeta_refuses_labels_that_are_not_ints(self, capsys, perms):
+        code, out, err = run(
+            ["tree", "aeta", "--n", "2", "--perms", perms], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: level 1 is not a permutation of Z/2^1\n"
+
     def test_aeta_needs_exactly_one_source(self, capsys):
         code, _, _ = run(["tree", "aeta", "--n", "2", "--depth", "2"], capsys)
         assert code == 2

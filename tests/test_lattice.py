@@ -132,12 +132,12 @@ class TestValidateDiagnostics:
         )
         b = ArithmeticIsometry.pure_tree(BallAffineMap.base_scaling(2, 1))
         problems = validate(EmbeddingSpec(2, 1, a, b))
-        assert any("orientation" in p for p in problems)
+        assert any("orientation" in str(p) for p in problems)
 
     def test_heights(self):
         good = standard_embedding(2, 2, 1, 1)
         bad = EmbeddingSpec(2, 1, good.imgA, good.imgB)
-        assert any("height change 1" in p for p in validate(bad))
+        assert any("height change 1" in str(p) for p in validate(bad))
 
     def test_twisting_rejected(self):
         a = ArithmeticIsometry(
@@ -145,15 +145,26 @@ class TestValidateDiagnostics:
         )
         b = ArithmeticIsometry.pure_tree(BallAffineMap.base_scaling(3, 1))
         problems = validate(EmbeddingSpec(3, 1, a, b))
-        assert any("u = 1" in p for p in problems)
+        assert any("u = 1" in str(p) for p in problems)
 
     def test_zero_translation_distance(self):
         a = ArithmeticIsometry.pure_tree(BallAffineMap.translation(2, 1))
         b = ArithmeticIsometry.pure_tree(BallAffineMap.base_scaling(2, 1))
         problems = validate(EmbeddingSpec(2, 1, a, b))
-        assert any("nonzero translation" in p for p in problems)
+        assert any("nonzero translation" in str(p) for p in problems)
         with pytest.raises(ZeroTranslation):
             classify(EmbeddingSpec(2, 1, a, b))
+
+    def test_the_first_problem_picks_the_error(self):
+        # l < 1 is checked before beta == 0, so l's error is raised
+        a = ArithmeticIsometry(2, 1, 0, Fraction(1), BallAffineMap.identity(2))
+        b = ArithmeticIsometry.pure_tree(BallAffineMap.identity(2))
+        spec = EmbeddingSpec(2, 0, a, b)
+        assert [type(p) for p in validate(spec)] == [
+            InvalidParams, ZeroTranslation
+        ]
+        with pytest.raises(InvalidParams, match="^l must be >= 1, got 0$"):
+            classify(spec)
 
     def test_relation_failure(self):
         good = standard_embedding(2, 1, 1, 1)
@@ -161,7 +172,7 @@ class TestValidateDiagnostics:
             BallAffineMap(2, 1, Fraction(6), Fraction(0))
         )
         problems = validate(EmbeddingSpec(2, 1, good.imgA, skewed))
-        assert any("defining relation" in p for p in problems)
+        assert any("defining relation" in str(p) for p in problems)
         with pytest.raises(InvalidParams):
             classify(EmbeddingSpec(2, 1, good.imgA, skewed))
 

@@ -3,7 +3,9 @@
 Self-checks must survive ``python -O``, which strips ``assert`` statements,
 so every check in ``src/bslat`` raises explicitly instead.  The literal
 (k, j) search and the table of size caps exist once, in ``exactnum``.
-JSON text is parsed in one place, ``cli._parse_json``.
+JSON text is parsed in one place, ``cli._parse_json``.  A class keeps one
+form: no attribute is conjured by ``__getattr__``, and only one trusted
+constructor bypasses validation with ``object.__new__``.
 """
 
 import ast
@@ -93,5 +95,50 @@ def test_json_is_parsed_in_one_place():
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
             if reads_json(node) and id(node) not in helper
+        ]
+    assert found == []
+
+
+def test_no_class_defines_getattr():
+    found = [
+        f"{path.name}:{item.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__getattr__"
+    ]
+    assert found == []
+
+
+def test_object_new_only_in_the_trusted_top_constructor():
+    # LevelPermAutomorphism.of_valid_top skips the checks of __post_init__
+    # for the tops the lab enumerates; a second bypass would be a second
+    # form of some class
+    def object_new(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and (path.name, cls.name) == ("tree.py", "LevelPermAutomorphism")
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef)
+            and function.name == "of_valid_top"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if object_new(node) and id(node) not in allowed
         ]
     assert found == []
