@@ -26,6 +26,7 @@ from . import bsgroup
 from .errors import InvalidParams, ParseError, TooLarge, ValidationError
 from .exactnum import (
     ORBIT_CONE_CAP,
+    PrimeSignature,
     TruncatedNAdic,
     check_printable,
     format_quotient,
@@ -538,7 +539,10 @@ def _cmd_covol_enumerate(args) -> CommandResult:
 
 
 def _quotient_from_json(payload) -> tuple[int, list[QuotientEntry]]:
-    n = int(payload["n"])
+    n = payload["n"]
+    if type(n) is not int:
+        raise TypeError(f"n must be an integer, not {type(n).__name__}")
+    PrimeSignature.of(n)  # the base is checked before any entry
     return n, [
         QuotientEntry(
             TreeVertex.from_json(n, record["rep"]),

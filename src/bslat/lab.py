@@ -4,7 +4,8 @@ Everything here treats exhaustive enumeration as ground truth and the
 closed-form counts as claims to be displayed next to it.  A depth-k cone
 automorphism is determined by its top-level permutation (the lower levels
 are reductions mod n**i), so the hot loops work on byte-encoded top
-permutations, composed with bytes.translate.
+permutations, composed with bytes.translate.  A group is the tuple of its
+certified tops, with the certificate's reached set as its one member set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import contextlib
 import itertools
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -119,62 +120,35 @@ def _generated(gens) -> set[bytes]:
 
 @dataclass(frozen=True)
 class LevelPermGroup:
-    """Group of depth-k cone automorphisms, held as the canonical tuple of
-    its top-level permutations (bytes).
-
-    Built from user-supplied elements, the group validates them and sorts
-    them by their permutation tables.  Built from ``tops=``, it trusts them
-    to be the tops of valid automorphisms already in that order, and keeps
-    the tuple it is given: the enumerator and the centralizer search pass
-    theirs.  Either way equal groups compare equal and reports are
-    deterministic.  Construction refuses duplicates and a missing identity,
-    then certifies closure under composition by verify_closure, in about
-    |G| compositions and one size check per coset.  A finite set holding
+    """Group of depth-k cone automorphisms, held as the tuple of the tops
+    (n**k bytes each) of trusted automorphisms, in the canonical order the
+    enumerator and the centralizer search pass, so equal groups compare
+    equal.  Construction refuses duplicates, found by a transient set, and
+    a missing identity, then certifies composition closure by verify_closure,
+    whose reached set becomes the one member set.  A finite set holding
     the identity and closed under composition holds every inverse, so every
-    LevelPermGroup is a group.  Elements are built only when the group is
-    iterated.
+    LevelPermGroup is a group.
     """
 
     n: int
     k: int
-    elements: InitVar[tuple[LevelPermAutomorphism, ...] | None] = None
-    tops: tuple[bytes, ...] = field(default=(), repr=False)
+    tops: tuple[bytes, ...] = field(repr=False)
 
-    def __post_init__(self, elements):
-        if not (self.tops if elements is None else elements):
+    def __post_init__(self):
+        if not self.tops:
             raise InvalidParams("a group needs at least the identity")
         if power_exceeds(self.n, self.k, TOP_CAP):
             raise TooLarge(
                 f"top level has {self.n}^{self.k} vertices; cap is {TOP_CAP}"
             )
-        if elements is not None:
-            ordered = sorted(elements, key=lambda g: g.to_lists())
-            for g in ordered:
-                if g.n != self.n:
-                    raise BaseMismatch("element over a different base")
-                if g.depth != self.k:
-                    raise InvalidParams(
-                        f"element of depth {g.depth} in a depth-{self.k} group"
-                    )
-            object.__setattr__(
-                self, "tops", tuple(_top_of(g) for g in ordered)
-            )
-        members = set(self.tops)
-        if len(members) != len(self.tops):
+        if len(set(self.tops)) != len(self.tops):
             raise InvalidParams("duplicate elements")
-        identity = bytes(range(self.n**self.k))
-        if identity not in members:
+        if bytes(range(self.n**self.k)) not in self.tops:
             raise InvalidParams("identity missing")
-        object.__setattr__(self, "_members", members)
         self.verify_closure()
 
     def __len__(self):
         return len(self.tops)
-
-    def __iter__(self):
-        return (
-            LevelPermAutomorphism.of_valid_top(self.n, top) for top in self.tops
-        )
 
     def __contains__(self, g: LevelPermAutomorphism):
         return (
@@ -184,8 +158,8 @@ class LevelPermGroup:
         )
 
     def verify_closure(self) -> int:
-        """Certify composition closure coset by coset (Dimino's method);
-        returns the number of compositions made.
+        """Certify composition closure coset by coset (Dimino's method) and
+        keep the reached set as the member set; returns the compositions made.
 
         Elements not yet reached join the generating set S in order.  When
         one, t, joins, the reached set is a certified group H.  Each coset
@@ -194,12 +168,13 @@ class LevelPermGroup:
         reached is a new representative: its whole coset H.(r.s) joins in
         one pass over H.  The reached set stays a union of right H-cosets,
         so h.r.s lies in H.(r.s) for every h in H: it is closed under S and
-        is the group <S>.  Every element ends up reached, so the reached
-        set equals the element set exactly when it never outgrows it.  That
-        is the one check, made each time a coset joins: a set is refused as
-        soon as the reached set holds more tops than it, and so before the
-        reached set passes 2 * |G| tops.  Ending without a refusal proves
-        the elements a group.
+        is the group <S>.  Every top ends up reached (the identity times it,
+        when it joins), so for distinct tops the reached set equals their
+        set exactly when it never outgrows the tuple; (1, a, a) could reach
+        an outsider a**2.  That is the one check, made as each coset joins:
+        a set is refused once the reached set holds more tops than it, so
+        before it passes 2 * |G| tops.  Ending without a refusal proves the
+        tops a group, with the reached set as its member set.
 
         A step costs one composition (r = 1, s = t) and |H| + |S| more for
         each coset beyond H, so a group costs about |G| compositions and at
@@ -220,10 +195,11 @@ class LevelPermGroup:
                         coset = itertools.repeat(_padded(prod))
                         reached.update(map(bytes.translate, old, coset))
                         if len(reached) > len(self.tops):
-                            raise _outside(reached, self._members)
+                            raise _outside(reached, set(self.tops))
                 checked += len(row)
                 row = tables
             checked += (len(reps) - 1) * len(old)
+        object.__setattr__(self, "_members", reached)
         return checked
 
 
@@ -464,7 +440,8 @@ def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
         for level in range(1, depth + 1):
             if not is_transitive_on_up(shift, anchor, level):
                 raise AssertionError(
-                    f"orbit certification failed at level {level}"
+                    f"orbit certification failed at level {level}: "
+                    f"(k, j) = ({k}, {j}) but the walk is not transitive"
                 )
     return (k, j)
 
@@ -566,7 +543,9 @@ def jordan_index_report(n: int, k: int, m_values) -> LemmaReport:
     for m in m_values:
         size = len(centralizer(_shift_element(n, k, m), group))
         if order % size:
-            raise AssertionError("centralizer order must divide the group")
+            raise AssertionError(
+                f"centralizer order {size} does not divide |G| = {order}"
+            )
         brute.append(order // size)
         level = min(k, _collapse_level(n, m))
         structural = n ** ((k - level) * n**level) * (

@@ -437,15 +437,16 @@ def flip_commutator_exponent(case: PresentationCase) -> int:
     gens = build_full_lattice(case)
     a, b, c = gens["a"], gens["b"], gens["c"]
     product = c.compose(b).compose(c.inverse()).compose(b.inverse())
-    # product must be a power of a: a translation by y on both components
     y = product.alpha
-    if (
-        product.h != 0
-        or product.eps != 1
-        or product.tree != BallAffineMap.translation(case.n, y)
-        or y.denominator != 1
-    ):
-        raise AssertionError("flip relation did not reduce to a power of a")
+    # a power of a is the translation by y on both components
+    power = ArithmeticIsometry(
+        case.n, 1, 0, y, BallAffineMap.translation(case.n, y)
+    )
+    if product != power or y.denominator != 1:
+        raise AssertionError(
+            f"flip relation did not reduce to a power of a: product "
+            f"{product}, translation by y = {format_rational(y)}: {power}"
+        )
     expected = a.power(int(y))
     if product != expected:
         raise AssertionError(

@@ -368,7 +368,9 @@ def is_transitive_on_up(map_: BallAffineMap, w: TreeVertex, level: int) -> bool:
         if y == 0:
             break
         if seen > count:
-            raise AssertionError("orbit failed to close")
+            raise AssertionError(
+                f"orbit failed to close: {seen} steps on {count} labels"
+            )
     return seen == count
 
 
@@ -438,22 +440,6 @@ class LevelPermAutomorphism:
         return LevelPermAutomorphism(
             n, tuple(tuple(range(n**i)) for i in range(1, depth + 1))
         )
-
-    @staticmethod
-    def of_valid_top(n: int, top: bytes) -> "LevelPermAutomorphism":
-        """The automorphism with top-level permutation top, its lower levels
-        being reductions mod n**i.  Trusted: top must come from a valid
-        automorphism (an enumerator or a closed search), so nothing is
-        checked.
-        """
-        perms, size = [], 1
-        while size < len(top):
-            size *= n
-            perms.append(tuple(label % size for label in top[:size]))
-        g = object.__new__(LevelPermAutomorphism)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "perms", tuple(perms))
-        return g
 
     def apply(self, level: int, label: int) -> int:
         if not 1 <= level <= self.depth:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from bslat import cli, exactnum, tree
+from bslat import cli, exactnum, lab, lattice, tree
 from bslat.cli import CommandResult, main
 from bslat.lattice import standard_embedding, straighten
 
@@ -624,6 +624,27 @@ class TestCovol:
         code, _, err = run(["covol", "from-quotient", "--file", str(path)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("n, code, err", [
+        ("0", 1, "base must be >= 2, got 0"),
+        ("-3", 1, "base must be >= 2, got -3"),
+        ("1", 1, "base must be >= 2, got 1"),
+        ("true", 2, "quotient record is malformed: n must be an integer, "
+                    "not bool"),
+        ("2.0", 2, "quotient record is malformed: n must be an integer, "
+                   "not float"),
+        ('"2"', 2, "quotient record is malformed: n must be an integer, "
+                   "not str"),
+    ])
+    def test_from_quotient_checks_the_base_first(
+        self, tmp_path, capsys, n, code, err
+    ):
+        # with no entries, every base here answered covolume = 0
+        path = tmp_path / "empty.json"
+        path.write_text(f'{{"n": {n}, "entries": []}}')
+        assert run(
+            ["covol", "from-quotient", "--file", str(path)], capsys
+        ) == (code, "", f"error: {err}\n")
+
 
 class TestPresent:
     def test_case_three(self, capsys):
@@ -740,6 +761,72 @@ class TestLab:
         assert code == 0
         assert record["payload"]["brute"] == [2, 1]
         assert record["diagnostics"]
+
+
+class TestSelfChecks:
+    """Each self-check, forced by a monkeypatch, exits 4 through main()
+    with one error line naming both values that disagreed."""
+
+    def run_forced(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_orbit_certification(self, monkeypatch, capsys):
+        monkeypatch.setattr(lab, "is_transitive_on_up", lambda *args: False)
+        err = self.run_forced(
+            ["lab", "trans-search", "--n", "6", "--beta", "4", "--l", "1"],
+            capsys,
+        )
+        assert err == (
+            "error: orbit certification failed at level 1: "
+            "(k, j) = (2, 9) but the walk is not transitive\n"
+        )
+
+    def test_centralizer_order_divides_the_group(self, monkeypatch, capsys):
+        monkeypatch.setattr(lab, "centralizer", lambda g, group: range(3))
+        err = self.run_forced(
+            ["lab", "jordan-index", "--n", "2", "--k", "2", "--m", "1"],
+            capsys,
+        )
+        assert err == "error: centralizer order 3 does not divide |G| = 8\n"
+
+    def test_orbit_closes(self, monkeypatch, capsys):
+        # a step y -> 1 never returns to label 0
+        monkeypatch.setattr(tree, "_label_step", lambda f, w, level: (0, 1))
+        err = self.run_forced(
+            ["lab", "trans-search", "--n", "2", "--beta", "1", "--l", "1"],
+            capsys,
+        )
+        assert err == (
+            "error: orbit failed to close: 3 steps on 2 labels\n"
+        )
+
+    def test_flip_relation_is_a_power_of_a(self, monkeypatch, capsys):
+        real = lattice.build_full_lattice
+
+        def moved_c(case):
+            # c's tree part moved by 1, its real part kept
+            gens = real(case)
+            c = gens["c"]
+            tree_part = tree.BallAffineMap(
+                c.n, c.tree.h, c.tree.u, c.tree.beta + 1
+            )
+            gens["c"] = type(c)(c.n, c.eps, c.h, c.alpha, tree_part)
+            return gens
+
+        monkeypatch.setattr(lattice, "build_full_lattice", moved_c)
+        err = self.run_forced(
+            ["present", "verify", "--case", "3", "--n", "2", "--l", "1",
+             "--m-ref", "1"],
+            capsys,
+        )
+        assert err == (
+            "error: flip relation did not reduce to a power of a: product "
+            "(t -> 2^0*t + -1; x -> 1*x + -2), translation by y = -1: "
+            "(t -> 2^0*t + -1; x -> 1*x + -1)\n"
+        )
 
 
 class TestHarness:
@@ -1042,6 +1129,10 @@ FILES = {
     "true_h.json": _phi_with("true"),
     "list_h.json": _phi_with("[0]"),
     "infinite_h_v.json": _quotient_with("Infinity"),
+    # a base that is not a JSON integer
+    "true_n.json": json.dumps({"n": True, "entries": []}),
+    "float_n.json": json.dumps({"n": 2.0, "entries": []}),
+    "str_n.json": json.dumps({"n": "2", "entries": []}),
     "overflow_h_v.json": _quotient_with("-1e400"),
     "digits_h_v.json": _quotient_with(DIGITS),
     "deep_h_v.json": _quotient_with(DEEP),
@@ -1186,7 +1277,8 @@ class TestGrammarFuzz:
     ]
 
     # each of these printed a traceback: JSON text that Python cannot hold,
-    # and records holding floats that no integer field can take
+    # and records holding floats that no integer field can take; the last
+    # three were answered as if their base were the integer 1 or 2
     HOSTILE_JSON = [
         ["embed", "classify", "--file", "digits.json"],
         ["embed", "classify", "--file", "deep.json"],
@@ -1194,6 +1286,9 @@ class TestGrammarFuzz:
         ["embed", "auto-equiv", "phi.json", "infinite_h.json"],
         ["embed", "auto-equiv", "overflow_h.json", "phi.json"],
         ["covol", "from-quotient", "--file", "infinite_h_v.json"],
+        ["covol", "from-quotient", "--file", "true_n.json"],
+        ["covol", "from-quotient", "--file", "float_n.json"],
+        ["covol", "from-quotient", "--file", "str_n.json"],
         ["tree", "aeta", "--n", "2", "--perms", "[" * 20000 + "]" * 20000],
         ["tree", "aeta", "--n", "2", "--perms", f"[[{DIGITS}]]"],
     ]

@@ -8,6 +8,7 @@ never trusted.
 """
 
 import functools
+import itertools
 import operator
 import os
 import random
@@ -43,8 +44,10 @@ from bslat.lab import (
     _abelian_search_order,
     _collapse_level,
     _generated,
+    _outside,
     _padded,
     _shift_element,
+    _top_of,
     centralizer,
     centralizer_bound_report,
     enumerate_level_group,
@@ -57,6 +60,20 @@ from bslat.lab import (
 )
 from bslat.lattice import classify, standard_embedding
 from bslat.tree import LevelPermAutomorphism
+
+
+def _element(n, top):
+    """The automorphism with top-level permutation top, its lower levels
+    being reductions mod n**i, built by the validating constructor."""
+    perms, size = [], 1
+    while size < len(top):
+        size *= n
+        perms.append([label % size for label in top[:size]])
+    return LevelPermAutomorphism(n, perms)
+
+
+def _elements(group):
+    return [_element(group.n, top) for top in group.tops]
 
 
 class TestLemmaReport:
@@ -83,18 +100,20 @@ class TestEnumeration:
         group = enumerate_level_group(n, k)
         assert len(group) == expected
         assert len(group) == level_group_order_recursive(n, k)
-        assert all(g.depth == k and g.n == n for g in group)
+        assert all(g.depth == k and g.n == n for g in _elements(group))
 
     def test_two_level_ternary_order(self):
         assert len(enumerate_level_group(3, 2)) == 1296
 
     def test_depth_one_is_symmetric_group(self):
         group = enumerate_level_group(2, 1)
-        assert [g.to_lists() for g in group] == [[[0, 1]], [[1, 0]]]
+        assert [g.to_lists() for g in _elements(group)] == [
+            [[0, 1]], [[1, 0]]
+        ]
 
     def test_closure_by_hand(self):
         group = enumerate_level_group(2, 2)
-        elements = list(group)
+        elements = _elements(group)
         for f in elements:
             assert f.inverse() in group
             for g in elements:
@@ -103,7 +122,7 @@ class TestEnumeration:
     def test_deterministic(self):
         one = enumerate_level_group(2, 3)
         again = enumerate_level_group(2, 3)
-        assert [g.to_lists() for g in one] == [g.to_lists() for g in again]
+        assert one.tops == again.tops
         assert one == again
 
     def test_formula_values(self):
@@ -129,14 +148,15 @@ class TestEnumeration:
 
     def test_group_type_validation(self):
         group = enumerate_level_group(2, 1)
-        ident = LevelPermAutomorphism.identity(2, 1)
-        with pytest.raises(InvalidParams):
-            LevelPermGroup(2, 1, tuple(group) + (ident,))
-        swap = LevelPermAutomorphism(2, ((1, 0),))
-        with pytest.raises(InvalidParams):
-            LevelPermGroup(2, 1, (swap,))  # identity missing
-        with pytest.raises(InvalidParams):
-            LevelPermGroup(2, 2, tuple(group))  # depth mismatch
+        ident = _top_of(LevelPermAutomorphism.identity(2, 1))
+        with pytest.raises(InvalidParams, match="duplicate"):
+            LevelPermGroup(2, 1, group.tops + (ident,))
+        swap = _top_of(LevelPermAutomorphism(2, ((1, 0),)))
+        with pytest.raises(InvalidParams, match="identity missing"):
+            LevelPermGroup(2, 1, (swap,))
+        # depth-1 tops lack the depth-2 identity
+        with pytest.raises(InvalidParams, match="identity missing"):
+            LevelPermGroup(2, 2, group.tops)
 
     def test_verify_closure_counts_pairs(self):
         # the generating set S_i grows 1 -> 2 -> 3 as <S> doubles from
@@ -150,7 +170,7 @@ class TestEnumeration:
         # every subset of G_2 at n = 2 holding the identity and its inverses:
         # the certificate must reject exactly those that the all-pairs
         # compose check finds a product outside of
-        elements = list(enumerate_level_group(2, 2))
+        elements = _elements(enumerate_level_group(2, 2))
         identity = LevelPermAutomorphism.identity(2, 2)
         others = [g for g in elements if g != identity]
         rejected = accepted = 0
@@ -163,14 +183,15 @@ class TestEnumeration:
             closed = all(
                 f.compose(g) in subset for f in subset for g in subset
             )
+            tops = tuple(map(_top_of, subset))
             if closed:
-                group = LevelPermGroup(2, 2, tuple(subset))
+                group = LevelPermGroup(2, 2, tops)
                 group.verify_closure()
                 accepted += 1
             else:
                 # construction runs the certificate
                 with pytest.raises(InvalidParams):
-                    LevelPermGroup(2, 2, tuple(subset))
+                    LevelPermGroup(2, 2, tops)
                 rejected += 1
         # G_2 at n = 2 is the dihedral group of order 8: 10 subgroups
         assert (accepted, rejected) == (10, 54)
@@ -310,8 +331,9 @@ class TestCosetCertificate:
         # not the first in set order, and the raise is explicit, so it
         # survives python -O
         code = (
-            "from bslat.lab import LevelPermGroup, _shift_element\n"
-            "shifts = tuple(_shift_element(2, 3, a) for a in (0, 1, 7))\n"
+            "from bslat.lab import LevelPermGroup, _shift_element, _top_of\n"
+            "shifts = tuple(_top_of(_shift_element(2, 3, a))\n"
+            "               for a in (0, 1, 7))\n"
             "tops = tuple(map(bytes, ([0, 1, 2, 3], [0, 3, 2, 1],\n"
             "                         [2, 1, 0, 3], [3, 2, 1, 0])))\n"
             "for build in (lambda: LevelPermGroup(2, 3, shifts),\n"
@@ -343,19 +365,18 @@ class TestCosetCertificate:
         # swap sorts after them, and <H, t> has more than 10**6 elements:
         # the reached set must be refused once it outgrows the 66 elements
         n, k = 2, 6
-        shifts = [_shift_element(n, k, a) for a in range(n**k)]
+        shifts = [_top_of(_shift_element(n, k, a)) for a in range(n**k)]
         swap = bytearray(range(64))
         swap[0], swap[32] = 32, 0
         t = bytes(63 - x for x in range(64)).translate(_padded(bytes(swap)))
-        extra = [
-            LevelPermAutomorphism(
-                n, LevelPermAutomorphism.of_valid_top(n, top).perms
-            )
-            for top in (t, _inverse(t))
-        ]
+        # in canonical order, as the enumerator passes tops
+        tops = sorted(
+            shifts + [t, _inverse(t)],
+            key=lambda top: _element(n, top).to_lists(),
+        )
         start = time.perf_counter()
         with pytest.raises(InvalidParams, match="not closed"):
-            LevelPermGroup(n, k, tuple(shifts + extra))
+            LevelPermGroup(n, k, tuple(tops))
         assert time.perf_counter() - start < 1.0
 
 
@@ -365,7 +386,7 @@ class TestCentralizer:
             group = enumerate_level_group(n, k)
             sub = centralizer(_shift_element(n, k, 1), group)
             assert len(sub) == n**k
-            assert set(sub) == {
+            assert set(_elements(sub)) == {
                 _shift_element(n, k, r) for r in range(n**k)
             }
 
@@ -388,9 +409,7 @@ class TestCentralizer:
         with pytest.raises(NotMember):
             centralizer(shallow, group)
         shifts = centralizer(_shift_element(2, 2, 1), group)
-        outsider = next(
-            g for g in group if g not in shifts
-        )
+        outsider = next(g for g in _elements(group) if g not in shifts)
         with pytest.raises(NotMember):
             centralizer(outsider, shifts)
 
@@ -427,7 +446,9 @@ class TestCentralizerSearch:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 2)])
     def test_random_pivots_match_the_filter(self, n, k):
         group = enumerate_level_group(n, k)
-        for g in random.Random(8 * n + k).sample(list(group), 20):
+        # the tops are sampled, and only the sampled elements built
+        for top in random.Random(8 * n + k).sample(group.tops, 20):
+            g = _element(n, top)
             assert centralizer(g, group).tops == _filtered_centralizer(g, group)
 
     def test_subgroup_matches_the_filter(self):
@@ -435,18 +456,18 @@ class TestCentralizerSearch:
             group = enumerate_level_group(n, k)
             sub = centralizer(_shift_element(n, k, m), group)
             assert len(sub) < len(group)
-            outsider = next(g for g in group if g not in sub)
+            outsider = next(g for g in _elements(group) if g not in sub)
             shifts_of_outsider = centralizer(outsider, group)
-            for g in sub:
+            for g in _elements(sub):
                 assert centralizer(g, sub).tops == _filtered_centralizer(g, sub)
-            for g in shifts_of_outsider:
+            for g in _elements(shifts_of_outsider):
                 assert centralizer(g, shifts_of_outsider).tops == (
                     _filtered_centralizer(g, shifts_of_outsider)
                 )
 
     def test_search_is_capped_by_the_full_group(self):
         identity = LevelPermAutomorphism.identity(2, 5)
-        trivial = LevelPermGroup(2, 5, (identity,))
+        trivial = LevelPermGroup(2, 5, (_top_of(identity),))
         assert level_group_order_recursive(2, 5) > SIZE_CAP
         with pytest.raises(TooLarge):
             centralizer(identity, trivial)
@@ -472,17 +493,86 @@ class TestCentralizerSearch:
         assert built == [4]  # the shift itself
 
 
+def _two_set_group(n, k, tops) -> int:
+    """The constructor that kept set(tops) as the member set beside the
+    certificate's reached set: the oracle for the one member set.  Returns
+    the compositions made, or raises as construction did."""
+    if not tops:
+        raise InvalidParams("a group needs at least the identity")
+    members = set(tops)
+    if len(members) != len(tops):
+        raise InvalidParams("duplicate elements")
+    identity = bytes(range(n**k))
+    if identity not in members:
+        raise InvalidParams("identity missing")
+    reached, tables, checked = {identity}, [], 0
+    for top in itertools.filterfalse(reached.__contains__, tops):
+        old = list(reached)
+        tables.append(_padded(top))
+        reps, row = [identity], tables[-1:]
+        for rep in reps:
+            for table in row:
+                prod = rep.translate(table)
+                if prod not in reached:
+                    reps.append(prod)
+                    reached.update(f.translate(_padded(prod)) for f in old)
+                    if len(reached) > len(tops):
+                        raise _outside(reached, members)
+            checked += len(row)
+            row = tables
+        checked += (len(reps) - 1) * len(old)
+    return checked
+
+
 class TestGroupOfTops:
-    def test_tops_and_elements_agree(self):
-        group = enumerate_level_group(2, 2)
-        assert LevelPermGroup(2, 2, tuple(group)) == group
-        assert LevelPermGroup(2, 2, tuple(reversed(list(group)))) == group
-        assert [bytes(g.perms[-1]) for g in group] == list(group.tops)
+    @given(
+        shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+        gens=st.lists(st.integers(min_value=0), max_size=3),
+        toggles=st.lists(st.integers(min_value=0), max_size=3),
+        repeats=st.lists(st.integers(min_value=0), max_size=2),
+        drop_identity=st.booleans(),
+    )
+    def test_agrees_with_the_two_set_constructor(
+        self, shape, gens, toggles, repeats, drop_identity
+    ):
+        # a subgroup with single tops toggled in or out (outsiders, or a
+        # missing inverse), some tops repeated, and the identity perhaps
+        # dropped: the one member set accepts and refuses exactly as the
+        # two sets did, with the same message, and holds exactly the tops
+        group = _level_group(*shape)
+        tops = group.tops
+        chosen = _generated([tops[i % len(tops)] for i in gens] or [tops[0]])
+        for i in toggles:
+            if tops[i % len(tops)] != tops[0]:
+                chosen ^= {tops[i % len(tops)]}
+        if drop_identity:
+            chosen.discard(tops[0])
+        kept = [t for t in tops if t in chosen]
+        for i in repeats:
+            if kept:
+                kept.insert(i % len(kept), kept[i % len(kept)])
+        kept = tuple(kept)
+        try:
+            checked = _two_set_group(group.n, group.k, kept)
+        except InvalidParams as refusal:
+            with pytest.raises(InvalidParams) as failure:
+                LevelPermGroup(group.n, group.k, kept)
+            assert str(failure.value) == str(refusal)
+        else:
+            subset = LevelPermGroup(group.n, group.k, kept)
+            assert subset._members == set(subset.tops)
+            assert subset.verify_closure() == checked
 
     def test_tops_are_checked(self):
         identity, swap = bytes([0, 1]), bytes([1, 0])
         with pytest.raises(InvalidParams):
             LevelPermGroup(2, 1, tops=(identity, swap, swap))
+        # for a 3-cycle a the size check has slack: <a> reaches the outsider
+        # a**2 and holds three tops, no more than (1, a, a), so only the
+        # duplicate check refuses it
+        one, a = bytes([0, 1, 2]), bytes([1, 2, 0])
+        with pytest.raises(InvalidParams, match="^duplicate elements$"):
+            LevelPermGroup(3, 1, tops=(one, a, a))
         with pytest.raises(InvalidParams):
             LevelPermGroup(2, 1, tops=(swap,))
         with pytest.raises(InvalidParams):

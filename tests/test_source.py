@@ -4,8 +4,9 @@ Self-checks must survive ``python -O``, which strips ``assert`` statements,
 so every check in ``src/bslat`` raises explicitly instead.  The literal
 (k, j) search and the table of size caps exist once, in ``exactnum``.
 JSON text is parsed in one place, ``cli._parse_json``.  A class keeps one
-form: no attribute is conjured by ``__getattr__``, and only one trusted
-constructor bypasses validation with ``object.__new__``.
+form: no attribute is conjured by ``__getattr__``, and no constructor
+bypasses validation with ``object.__new__``.  A failed self-check names
+both values that disagreed.
 """
 
 import ast
@@ -111,34 +112,48 @@ def test_no_class_defines_getattr():
     assert found == []
 
 
-def test_object_new_only_in_the_trusted_top_constructor():
-    # LevelPermAutomorphism.of_valid_top skips the checks of __post_init__
-    # for the tops the lab enumerates; a second bypass would be a second
-    # form of some class
-    def object_new(node):
+def test_no_object_new():
+    # every instance passes its class's own checks; a constructor that
+    # bypassed them with object.__new__ would be a second form of the class
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert found == []
+
+
+def test_self_checks_name_both_values():
+    # a failed self-check names the two values that disagreed: every
+    # raise AssertionError in src/bslat passes one f-string with at least
+    # two replacement fields
+    def names_two_values(exc):
         return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "__new__"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "object"
+            isinstance(exc, ast.Call)
+            and isinstance(exc.func, ast.Name)
+            and exc.func.id == "AssertionError"
+            and len(exc.args) == 1
+            and isinstance(exc.args[0], ast.JoinedStr)
+            and sum(
+                isinstance(part, ast.FormattedValue)
+                for part in exc.args[0].values
+            ) >= 2
         )
 
-    found = []
+    raised, found = 0, []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), str(path))
-        allowed = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            and (path.name, cls.name) == ("tree.py", "LevelPermAutomorphism")
-            for function in cls.body
-            if isinstance(function, ast.FunctionDef)
-            and function.name == "of_valid_top"
-            for node in ast.walk(function)
-        }
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if object_new(node) and id(node) not in allowed
-        ]
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc
+            called = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(called, ast.Name) and called.id == "AssertionError":
+                raised += 1
+                if not names_two_values(exc):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert raised > 0
     assert found == []
