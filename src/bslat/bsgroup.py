@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .exactnum import (
-    PrimeSignature,
+    _prime_signature,
     format_rational,
     integral_level,
     is_ring_unit,
@@ -285,7 +285,7 @@ def apply_collins(gen: str, w: BSWord) -> BSWord:
             index = int(gen[1:])
         except ValueError:
             raise InvalidGenerator(f"unknown generator {gen!r}") from None
-        primes = [p for p, _ in PrimeSignature.of(N).primes]
+        primes = [p for p, _ in _prime_signature(N).primes]
         if not 1 <= index <= len(primes):
             raise InvalidGenerator(
                 f"{gen} out of range: {N} has {len(primes)} prime(s)"

@@ -26,13 +26,14 @@ from . import bsgroup
 from .errors import InvalidParams, ParseError, TooLarge, ValidationError
 from .exactnum import (
     ORBIT_CONE_CAP,
-    PrimeSignature,
     TruncatedNAdic,
+    _prime_signature,
     check_printable,
     format_quotient,
     format_rational,
     parse_rational,
     power_exceeds,
+    record_int,
     unit_in_base,
 )
 from .isometry import ArithmeticIsometry
@@ -211,7 +212,7 @@ def _obtain_spec(args) -> EmbeddingSpec:
         return spec
     if None in (args.n, args.l, args.s, args.m):
         raise ParseError("need --file, or all of --n --l --s --m")
-    return standard_embedding(args.n, args.l, args.s, args.m)
+    return standard_embedding(args.n, args.l, parse_rational(args.s), args.m)
 
 
 def _check_cone(n: int, depth: int, copies: int = 1):
@@ -539,16 +540,14 @@ def _cmd_covol_enumerate(args) -> CommandResult:
 
 
 def _quotient_from_json(payload) -> tuple[int, list[QuotientEntry]]:
-    n = payload["n"]
-    if type(n) is not int:
-        raise TypeError(f"n must be an integer, not {type(n).__name__}")
-    PrimeSignature.of(n)  # the base is checked before any entry
+    n = record_int(payload, "n")
+    _prime_signature(n)  # the base is checked before any entry
     return n, [
         QuotientEntry(
             TreeVertex.from_json(n, record["rep"]),
             parse_rational(str(record["a_v"])),
-            int(record["h_v"]),
-            int(record["stab0"]),
+            record_int(record, "h_v"),
+            record_int(record, "stab0"),
         )
         for record in payload["entries"]
     ]

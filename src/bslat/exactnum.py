@@ -1,11 +1,12 @@
 """Exact scalars for computations in base-n coordinates.
 
-Everything downstream works over three kinds of numbers, all exact:
+Everything downstream works over two kinds of numbers, both exact:
 
-* arbitrary rationals (``fractions.Fraction``),
-* the subring Z[1/n] of rationals whose denominator divides a power of n
-  (``NInvertible``),
+* rationals (``fractions.Fraction`` or int), each with an explicit base n;
+  ``smooth_denominator`` tests membership in the subring Z[1/n],
 * truncated n-adic integers, i.e. residues mod n**D (``TruncatedNAdic``).
+
+Text becomes a number only in the CLI and the JSON record readers.
 
 The base n may be composite.  The n-adic integers for composite n split as a
 product of p-adic rings over the primes p | n, so membership and unit tests
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    BaseMismatch,
-    InvalidParams,
-    NotInvertible,
-    ParseError,
-    TooLarge,
-)
+from .errors import InvalidParams, ParseError, TooLarge
 
 # Every size cap; past one, a command is refused with TooLarge (exit 3).
 SEARCH_LEVEL_CAP = 64  # levels the literal (k, j) search tries
@@ -89,10 +84,6 @@ class PrimeSignature:
 
     base: int
     primes: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(n: int) -> "PrimeSignature":
-        return _prime_signature(n)
 
 
 @lru_cache(maxsize=None)
@@ -302,76 +293,6 @@ def nadic_residue(x, height: int, n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class NInvertible:
-    """Element of Z[1/n], tagged with its base."""
-
-    value: Fraction
-    base: int
-
-    def __post_init__(self):
-        _prime_signature(self.base)
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not smooth_denominator(self.value, self.base):
-            raise InvalidParams(
-                f"{self.value} is not in Z[1/{self.base}]: denominator has a "
-                f"prime factor not dividing {self.base}"
-            )
-
-    @staticmethod
-    def of(value, base: int) -> "NInvertible":
-        if isinstance(value, str):
-            value = parse_rational(value)
-        return NInvertible(Fraction(value), base)
-
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, NInvertible):
-            if other.base != self.base:
-                raise BaseMismatch(
-                    f"mixed bases {self.base} and {other.base}"
-                )
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return NInvertible(self.value + self._coerce(other), self.base)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return NInvertible(self.value - self._coerce(other), self.base)
-
-    def __rsub__(self, other):
-        return NInvertible(self._coerce(other) - self.value, self.base)
-
-    def __mul__(self, other):
-        return NInvertible(self.value * self._coerce(other), self.base)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        quotient = self.value / self._coerce(other)
-        if not smooth_denominator(quotient, self.base):
-            raise NotInvertible(
-                f"{self.value} / {self._coerce(other)} leaves Z[1/{self.base}]"
-            )
-        return NInvertible(quotient, self.base)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0 and not is_ring_unit(self.value, self.base):
-            raise NotInvertible(
-                f"{self.value} has no inverse in Z[1/{self.base}]"
-            )
-        return NInvertible(self.value**exponent, self.base)
-
-    def __neg__(self):
-        return NInvertible(-self.value, self.base)
-
-    def __str__(self):
-        return format_rational(self.value)
-
-
-@dataclass(frozen=True)
 class TruncatedNAdic:
     """Residue mod base**precision, standing in for an n-adic integer."""
 
@@ -405,6 +326,16 @@ def parse_rational(text: str) -> Fraction:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+    return value
+
+
+def record_int(record: dict, key: str) -> int:
+    """The integer field key of a JSON record; a bool, a float or a string
+    is a TypeError, which the CLI reports as a malformed record."""
+    value = record[key]
+    if type(value) is not int:
+        kind = type(value).__name__
+        raise TypeError(f"{key} must be an integer, not {kind}")
     return value
 
 

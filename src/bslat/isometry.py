@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BaseMismatch, InvalidParams, NotElliptic
-from .exactnum import format_rational, parse_rational
-from .tree import BallAffineMap, _as_fraction, affine_power
+from .exactnum import _fraction, format_rational, parse_rational, record_int
+from .tree import BallAffineMap, affine_power
 
 
 class IsometryType(enum.Enum):
@@ -39,8 +39,7 @@ class ArithmeticIsometry:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise InvalidParams(f"eps must be +1 or -1, got {self.eps}")
-        alpha = _as_fraction(self.alpha, self.n, "alpha")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _fraction(self.alpha))
         if self.tree.n != self.n:
             raise BaseMismatch(
                 f"tree part over base {self.tree.n}, isometry over {self.n}"
@@ -60,8 +59,7 @@ class ArithmeticIsometry:
     def real_translation(n: int, amount) -> "ArithmeticIsometry":
         """Move the real coordinate only; the tree is untouched."""
         return ArithmeticIsometry(
-            n, 1, 0, _as_fraction(amount, n, "amount"),
-            BallAffineMap.identity(n),
+            n, 1, 0, amount, BallAffineMap.identity(n)
         )
 
     @staticmethod
@@ -135,14 +133,11 @@ class ArithmeticIsometry:
 
     @staticmethod
     def from_json(n: int, payload: dict) -> "ArithmeticIsometry":
+        eps, h = record_int(payload, "eps"), record_int(payload, "h")
         return ArithmeticIsometry(
-            n,
-            int(payload["eps"]),
-            int(payload["h"]),
-            parse_rational(str(payload["alpha"])),
+            n, eps, h, parse_rational(str(payload["alpha"])),
             BallAffineMap(
-                n,
-                int(payload["h"]),
+                n, h,
                 parse_rational(str(payload["u"])),
                 parse_rational(str(payload["beta"])),
             ),
@@ -196,7 +191,7 @@ class AmbientAutomorphism:
     g: ArithmeticIsometry
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _as_fraction(self.r, self.g.n, "r"))
+        object.__setattr__(self, "r", _fraction(self.r))
         if self.r == 0:
             raise InvalidParams("scaling factor r must be nonzero")
         if self.g.eps != 1 or self.g.alpha != 0:
@@ -213,7 +208,7 @@ class AmbientAutomorphism:
     @staticmethod
     def scaling(n: int, r) -> "AmbientAutomorphism":
         return AmbientAutomorphism(
-            _as_fraction(r, n, "r"), ArithmeticIsometry.identity(n)
+            r, ArithmeticIsometry.identity(n)
         )
 
     def compose(self, other: "AmbientAutomorphism") -> "AmbientAutomorphism":

@@ -28,7 +28,6 @@ from .exactnum import (
     ABELIAN_SEARCH_CAP,
     SIZE_CAP,
     TOP_CAP,
-    NInvertible,
     TruncatedNAdic,
     format_rational,
     integral_in_base,
@@ -120,14 +119,14 @@ def _generated(gens) -> set[bytes]:
 
 @dataclass(frozen=True)
 class LevelPermGroup:
-    """Group of depth-k cone automorphisms, held as the tuple of the tops
-    (n**k bytes each) of trusted automorphisms, in the canonical order the
-    enumerator and the centralizer search pass, so equal groups compare
-    equal.  Construction refuses duplicates, found by a transient set, and
-    a missing identity, then certifies composition closure by verify_closure,
-    whose reached set becomes the one member set.  A finite set holding
-    the identity and closed under composition holds every inverse, so every
-    LevelPermGroup is a group.
+    """Group of depth-k cone automorphisms, held as the tuple of their tops
+    (n**k bytes each), in the canonical order the enumerator and the
+    centralizer search pass, so equal groups compare equal.  Construction
+    refuses duplicates, found by a transient set, and a missing identity,
+    then certifies composition closure by verify_closure, which checks each
+    top it adopts as a generator and whose reached set becomes the one
+    member set.  A finite set holding the identity and closed under
+    composition holds every inverse, so every LevelPermGroup is a group.
     """
 
     n: int
@@ -161,8 +160,10 @@ class LevelPermGroup:
         """Certify composition closure coset by coset (Dimino's method) and
         keep the reached set as the member set; returns the compositions made.
 
-        Elements not yet reached join the generating set S in order.  When
-        one, t, joins, the reached set is a certified group H.  Each coset
+        Elements not yet reached join the generating set S in order, each
+        checked by _check_top as it joins: a product of valid tops is valid,
+        so an invalid top is never reached and always joins.  When one, t,
+        joins, the reached set is a certified group H.  Each coset
         representative r (the identity, with t alone, then t and every new
         one) is multiplied by each generator s, and a product r.s not yet
         reached is a new representative: its whole coset H.(r.s) joins in
@@ -183,6 +184,7 @@ class LevelPermGroup:
         identity = bytes(range(self.n**self.k))
         reached, tables, checked = {identity}, [], 0
         for top in itertools.filterfalse(reached.__contains__, self.tops):
+            _check_top(top, self.n, self.k)
             old = list(reached)
             tables.append(_padded(top))
             # the identity coset H is closed under the old generators
@@ -201,6 +203,28 @@ class LevelPermGroup:
             checked += (len(reps) - 1) * len(old)
         object.__setattr__(self, "_members", reached)
         return checked
+
+
+def _check_top(top: bytes, n: int, k: int):
+    """Refuse a top that is not the top level of a depth-k cone automorphism:
+    n**k labels, permuted, and mod n**i periodic with period n**i, i < k."""
+    size = n**k
+    if len(top) != size:
+        problem = f"has {len(top)} labels, not {size}"
+    elif bytes(sorted(top)) != bytes(range(size)):
+        problem = "is not a permutation"
+    else:
+        for i in range(1, k):
+            period = n**i
+            # x -> x % period as a translate table, built in C
+            modulo = (bytes(range(period)) * (256 // period + 1))[:256]
+            reduced = top.translate(modulo)
+            if reduced != reduced[:period] * (size // period):
+                problem = f"mod {n}^{i} has no period {n}^{i}"
+                break
+        else:
+            return
+    raise InvalidParams(f"top {list(top)} {problem}")
 
 
 def _outside(reached, members) -> InvalidParams:
@@ -384,18 +408,6 @@ def centralizer_bound_report(n: int, k: int, m: int) -> LemmaReport:
     )
 
 
-def _coerce_base(value, n):
-    if isinstance(value, NInvertible):
-        if n is not None and n != value.base:
-            raise BaseMismatch(
-                f"value tagged with base {value.base}, got n={n}"
-            )
-        return value.value, value.base
-    if n is None:
-        raise InvalidParams("pass an NInvertible or an explicit base n")
-    return Fraction(value), n
-
-
 def _certification_guard(n: int, depth: int):
     """Refuse an orbit certification of more than 2 * SIZE_CAP steps, the
     sum of n**i over 1 <= i <= depth, naming the count while it is
@@ -416,27 +428,26 @@ def _certification_guard(n: int, depth: int):
     raise TooLarge(f"orbit certification needs {count} steps; reduce depth")
 
 
-def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
-    """Minimal (k, j): j copies of the shift land in n**(l*k) * Z_n with a
-    unit quotient, so the shift's j-th power is transitive forever from
-    height l*k on.
+def eventually_transitive_search(beta, l: int, depth: int = 8, *, n: int):
+    """Minimal (k, j): j copies of the shift by beta, a Fraction or an int,
+    land in n**(l*k) * Z_n with a unit quotient, so the shift's j-th power
+    is transitive forever from height l*k on.  The base n is required.
 
     Computed by exactnum.transitive_pair (closed form checked against a
     literal search), then certified by explicit orbit enumeration down to
     ``depth`` levels.
     """
-    value, base = _coerce_base(beta, n)
-    if value == 0:
+    if beta == 0:
         raise ZeroTranslation("the shift must be nonzero")
     if l < 1:
         raise InvalidParams("l must be >= 1")
     if depth < 0:
         raise InvalidParams("depth must be >= 0")
-    _certification_guard(base, depth)
-    k, j = transitive_pair(value, l, base)
+    _certification_guard(n, depth)
+    k, j = transitive_pair(beta, l, n)
     if depth > 0:
-        anchor = TreeVertex(base, l * k, Fraction(0))
-        shift = BallAffineMap.translation(base, j * value)
+        anchor = TreeVertex(n, l * k, Fraction(0))
+        shift = BallAffineMap.translation(n, j * beta)
         for level in range(1, depth + 1):
             if not is_transitive_on_up(shift, anchor, level):
                 raise AssertionError(
@@ -446,25 +457,25 @@ def eventually_transitive_search(beta, l: int, depth: int = 8, n=None):
     return (k, j)
 
 
-def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
+def level_sum_report(gamma, weight, depth: int, n: int) -> LemmaReport:
     """Orbit sums of the shift by gamma on Z/n**i, each weighted by
-    weight * |orbit| * n**-i; the lemma says every level sums to weight."""
-    value, base = _coerce_base(gamma, n)
+    weight * |orbit| * n**-i; the lemma says every level sums to weight.
+    gamma and weight are Fractions or ints, over the required base n."""
     weight = Fraction(weight)
     if weight <= 0:
         raise InvalidParams("the vertex weight must be positive")
     if depth < 1:
         raise InvalidParams("depth must be >= 1")
-    if not integral_in_base(value, base):
+    if not integral_in_base(gamma, n):
         raise InvalidParams(
-            f"{value} is not an n-adic integer for base {base}"
+            f"{gamma} is not an n-adic integer for base {n}"
         )
-    if power_exceeds(base, depth, SIZE_CAP):
-        raise TooLarge(f"{base}^{depth} labels per level; reduce depth")
+    if power_exceeds(n, depth, SIZE_CAP):
+        raise TooLarge(f"{n}^{depth} labels per level; reduce depth")
     sums = []
     for i in range(1, depth + 1):
-        size = base**i
-        shift = int(nadic_residue(value, i, base))
+        size = n**i
+        shift = int(nadic_residue(gamma, i, n))
         seen = bytearray(size)
         # the sum over orbits of weight * |orbit| * n**-i, with the common
         # factor weight * n**-i taken out, so each orbit adds an int
@@ -479,12 +490,12 @@ def level_sum_report(gamma, weight, depth: int, n=None) -> LemmaReport:
                 orbit += 1
                 y = (y + shift) % size
             total += orbit
-        sums.append(weight * total * Fraction(base) ** (-i))
+        sums.append(weight * total * Fraction(n) ** (-i))
     return LemmaReport.of(
         lemma="orbit-sum-constancy",
         params={
-            "n": base,
-            "gamma": format_rational(value),
+            "n": n,
+            "gamma": format_rational(gamma),
             "a_v": format_rational(weight),
             "depth": depth,
         },

@@ -34,7 +34,7 @@ from .exactnum import (
     check_scaling,
     format_rational,
     p_valuation,
-    parse_rational,
+    record_int,
     transitive_pair,
     valuation_in_base,
 )
@@ -78,10 +78,10 @@ class EmbeddingSpec:
 
     @staticmethod
     def from_json(payload: dict) -> "EmbeddingSpec":
-        n = int(payload["n"])
+        n = record_int(payload, "n")
         return EmbeddingSpec(
             n,
-            int(payload["l"]),
+            record_int(payload, "l"),
             ArithmeticIsometry.from_json(n, payload["a"]),
             ArithmeticIsometry.from_json(n, payload["b"]),
         )
@@ -142,7 +142,6 @@ class QuotientEntry:
 def standard_embedding(n: int, l: int, s, m: int) -> EmbeddingSpec:
     """The reference embedding: a -> translation by s*m on the real factor
     and by m on the tree; stable letter -> the pure scaling of height l."""
-    s = Fraction(s) if not isinstance(s, str) else parse_rational(s)
     if s == 0:
         raise InvalidParams("s must be nonzero")
     if m < 1:

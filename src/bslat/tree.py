@@ -40,8 +40,8 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import (
-    NInvertible,
     TruncatedNAdic,
+    _fraction,
     _prime_signature,
     check_scaling,
     format_rational,
@@ -52,19 +52,10 @@ from .exactnum import (
     p_valuation,
     parse_rational,
     power_exceeds,
+    record_int,
     smooth_denominator,
     valuation_in_base,
 )
-
-
-def _as_fraction(value, n: int, what: str) -> Fraction:
-    if isinstance(value, NInvertible):
-        if value.base != n:
-            raise BaseMismatch(f"{what} tagged with base {value.base}, not {n}")
-        return value.value
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -90,9 +81,9 @@ class TreeVertex:
 
     @staticmethod
     def of(n: int, h: int, c) -> "TreeVertex":
-        """Build a vertex, canonicalizing an arbitrary Z[1/n] center."""
-        value = _as_fraction(c, n, "center")
-        return TreeVertex(n, h, nadic_residue(value, h, n))
+        """Build a vertex, canonicalizing a center c, a Fraction or an int,
+        to its residue mod n**h."""
+        return TreeVertex(n, h, nadic_residue(c, h, n))
 
     @staticmethod
     def root(n: int) -> "TreeVertex":
@@ -120,7 +111,7 @@ class TreeVertex:
     def from_json(n: int, payload: dict) -> "TreeVertex":
         """The vertex of a record; a height h with n**|h| past SCALING_CAP
         is refused before any power of n is built."""
-        h = int(payload["h"])
+        h = record_int(payload, "h")
         _prime_signature(n)  # a bad base is named before a bad height
         check_scaling(n, h)
         return TreeVertex.of(n, h, parse_rational(str(payload["c"])))
@@ -178,8 +169,8 @@ class BallAffineMap:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_fraction(self.u, self.n, "u"))
-        object.__setattr__(self, "beta", _as_fraction(self.beta, self.n, "beta"))
+        object.__setattr__(self, "u", _fraction(self.u))
+        object.__setattr__(self, "beta", _fraction(self.beta))
         if not smooth_denominator(self.beta, self.n):
             raise InvalidParams(f"beta {self.beta} not in Z[1/{self.n}]")
         for p, e in _prime_signature(self.n).primes:
@@ -195,7 +186,7 @@ class BallAffineMap:
 
     @staticmethod
     def translation(n: int, amount) -> "BallAffineMap":
-        return BallAffineMap(n, 0, Fraction(1), _as_fraction(amount, n, "amount"))
+        return BallAffineMap(n, 0, Fraction(1), amount)
 
     @staticmethod
     def base_scaling(n: int, power: int = 1) -> "BallAffineMap":
@@ -246,21 +237,17 @@ class BallAffineMap:
         )
 
     def __call__(self, x):
-        return self.u * _as_fraction(x, self.n, "x") + self.beta
+        return self.u * x + self.beta
 
     def hyperbolic_fixed_point(self) -> Fraction:
         """The rational fixed point x* = beta / (1 - u) of a hyperbolic map.
 
         x* need not lie in Z[1/n]; its denominator's coprime part is handled
-        exactly by nadic_residue when locating axis vertices.
+        exactly by nadic_residue when locating axis vertices.  u is not 1:
+        the constructor holds v_p(u) = h * e_p, so u = 1 forces h = 0.
         """
         if self.h == 0:
             raise NotHyperbolic("height change is zero, no translation axis")
-        if self.u == 1:
-            raise AssertionError(
-                f"hyperbolic self-check failed: height change {self.h}, "
-                f"multiplier u = {self.u}"
-            )
         return self.beta / (1 - self.u)
 
     def __str__(self):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -828,6 +829,39 @@ class TestSelfChecks:
             "(t -> 2^0*t + -1; x -> 1*x + -1)\n"
         )
 
+    CLASSIFY = ["embed", "classify", "--n", "2", "--l", "1", "--s", "1",
+                "--m", "3"]
+
+    def test_h0_formula_matches_the_axis_walk(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice, "valuation_in_base", lambda x, n: 1)
+        err = self.run_forced(self.CLASSIFY, capsys)
+        assert err == (
+            "error: classifier self-check failed: h0 formula 1, axis walk 0\n"
+        )
+
+    def test_m_times_j_is_a_power_of_n(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice, "transitive_pair", lambda b, l, n: (1, 1))
+        err = self.run_forced(self.CLASSIFY, capsys)
+        assert err == (
+            "error: classifier self-check failed: m * j = 1, n**(l*k) = 2\n"
+        )
+
+    def test_flip_product_is_the_power_of_a(self, monkeypatch, capsys):
+        # every power of a reads as a itself
+        monkeypatch.setattr(
+            lattice.ArithmeticIsometry, "power", lambda self, k: self
+        )
+        err = self.run_forced(
+            ["present", "verify", "--case", "3", "--n", "2", "--l", "1",
+             "--m-ref", "1"],
+            capsys,
+        )
+        assert err == (
+            "error: flip relation self-check failed: product "
+            "(t -> 2^0*t + -1; x -> 1*x + -1), "
+            "a^-1 = (t -> 2^0*t + 1; x -> 1*x + 1)\n"
+        )
+
 
 class TestHarness:
     def test_help_exits_clean(self, capsys):
@@ -1102,10 +1136,26 @@ def _quotient_with(h_v) -> str:
     ]}).replace('"H_V"', h_v)
 
 
+def _phi_changed(part, field: str, value) -> str:
+    """The record of phi with one field set to a JSON value: a field of the
+    whole record when part is None, else of the map named part."""
+    record = standard_embedding(2, 1, 1, 3).to_json()
+    (record if part is None else record[part])[field] = value
+    return json.dumps(record)
+
+
+def _quotient_entry(**fields) -> str:
+    """A one-entry quotient record, with fields replacing the entry's."""
+    entry = {"rep": {"h": 0, "c": "0"}, "a_v": "3", "h_v": 0, "stab0": 1}
+    return json.dumps({"n": 2, "entries": [{**entry, **fields}]})
+
+
 # files written into the child's working directory
 FILES = {
     "phi.json": json.dumps(standard_embedding(2, 1, 1, 3).to_json()),
-    "psi.json": json.dumps(standard_embedding(3, 2, "2/3", 9).to_json()),
+    "psi.json": json.dumps(
+        standard_embedding(3, 2, Fraction(2, 3), 9).to_json()
+    ),
     "bad.json": "{",
     "short.json": json.dumps({"n": 2, "l": 1}),
     "quotient.json": json.dumps({"n": 2, "entries": [
@@ -1133,6 +1183,14 @@ FILES = {
     "true_n.json": json.dumps({"n": True, "entries": []}),
     "float_n.json": json.dumps({"n": 2.0, "entries": []}),
     "str_n.json": json.dumps({"n": "2", "entries": []}),
+    # integer fields that are not JSON integers
+    "float_n_phi.json": _phi_changed(None, "n", 2.5),
+    "float_l.json": _phi_changed(None, "l", 3.9),
+    "true_eps.json": _phi_changed("a", "eps", True),
+    "str_h.json": _phi_changed("a", "h", "0"),
+    "str_h_v.json": _quotient_entry(h_v="3"),
+    "true_stab0.json": _quotient_entry(stab0=True),
+    "true_rep_h.json": _quotient_entry(rep={"h": True, "c": "0"}),
     "overflow_h_v.json": _quotient_with("-1e400"),
     "digits_h_v.json": _quotient_with(DIGITS),
     "deep_h_v.json": _quotient_with(DEEP),
@@ -1289,6 +1347,13 @@ class TestGrammarFuzz:
         ["covol", "from-quotient", "--file", "true_n.json"],
         ["covol", "from-quotient", "--file", "float_n.json"],
         ["covol", "from-quotient", "--file", "str_n.json"],
+        ["embed", "classify", "--file", "float_n_phi.json"],
+        ["embed", "classify", "--file", "float_l.json"],
+        ["embed", "classify", "--file", "true_eps.json"],
+        ["embed", "classify", "--file", "str_h.json"],
+        ["covol", "from-quotient", "--file", "str_h_v.json"],
+        ["covol", "from-quotient", "--file", "true_stab0.json"],
+        ["covol", "from-quotient", "--file", "true_rep_h.json"],
         ["tree", "aeta", "--n", "2", "--perms", "[" * 20000 + "]" * 20000],
         ["tree", "aeta", "--n", "2", "--perms", f"[[{DIGITS}]]"],
     ]

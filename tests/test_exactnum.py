@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from bslat import exactnum as xn
 from bslat.errors import (
-    BaseMismatch,
     InvalidParams,
     NotDivisible,
     NotInvertible,
@@ -33,7 +32,7 @@ def power_quotient(j: int, k: int, n: int) -> int:
     """
     if j < 1 or k < 0:
         raise InvalidParams("need j >= 1 and k >= 0")
-    xn.PrimeSignature.of(n)
+    xn._prime_signature(n)
     target = n**k
     if target % j != 0:
         raise NotDivisible(f"{j} does not divide {n}^{k}")
@@ -43,10 +42,10 @@ def power_quotient(j: int, k: int, n: int) -> int:
 def truncated_inverse(x, precision: int, n: int) -> xn.TruncatedNAdic:
     """Inverse of a Z_n-unit mod n**precision.
 
-    x may be an int, Fraction or NInvertible; it must be n-adically integral
-    and a unit (NotInvertible otherwise).
+    x may be an int or a Fraction; it must be n-adically integral and a
+    unit (NotInvertible otherwise).
     """
-    value = x.value if isinstance(x, xn.NInvertible) else Fraction(x)
+    value = Fraction(x)
     if not xn.unit_in_base(value, n):
         raise NotInvertible(f"{value} is not a unit in Z_{n}")
     modulus = n**precision
@@ -69,7 +68,7 @@ def naive_p_valuation(q: Fraction, p: int) -> int:
 
 
 def naive_coprime_part(x: int, n: int) -> int:
-    for p, _ in xn.PrimeSignature.of(n).primes:
+    for p, _ in xn._prime_signature(n).primes:
         while x % p == 0:
             x //= p
     return x
@@ -99,7 +98,7 @@ def brute_transitive_pair(beta: Fraction, l: int, n: int):
 def naive_in_ball(q: Fraction, h: int, n: int) -> bool:
     # q in n^h Z_n iff q / n^h has, at every prime of n, no denominator part
     shifted = q / Fraction(n) ** h
-    primes = [p for p, _ in xn.PrimeSignature.of(n).primes]
+    primes = [p for p, _ in xn._prime_signature(n).primes]
     return all(naive_p_valuation(shifted, p) >= 0 for p in primes if shifted)
 
 
@@ -108,23 +107,15 @@ rationals = st.fractions(
 )
 
 
-def ninvertibles(base):
-    return st.builds(
-        lambda a, e: xn.NInvertible(Fraction(a, base**e), base),
-        st.integers(min_value=-400, max_value=400),
-        st.integers(min_value=0, max_value=4),
-    )
-
-
 class TestPrimeSignature:
     def test_examples(self):
-        assert xn.PrimeSignature.of(12).primes == ((2, 2), (3, 1))
-        assert xn.PrimeSignature.of(2).primes == ((2, 1),)
-        assert xn.PrimeSignature.of(9).primes == ((3, 2),)
+        assert xn._prime_signature(12).primes == ((2, 2), (3, 1))
+        assert xn._prime_signature(2).primes == ((2, 1),)
+        assert xn._prime_signature(9).primes == ((3, 2),)
 
     def test_bad_base(self):
         with pytest.raises(InvalidParams):
-            xn.PrimeSignature.of(1)
+            xn._prime_signature(1)
 
     def test_trial_division_budget(self):
         # 999983 is the largest prime up to the budget of 10**6: every base
@@ -132,19 +123,19 @@ class TestPrimeSignature:
         # factors as before; a cofactor needing a larger divisor is refused
         budget = xn.FACTOR_BUDGET
         assert budget == 10**6
-        assert xn.PrimeSignature.of(999983 * 1000003).primes == (
+        assert xn._prime_signature(999983 * 1000003).primes == (
             (999983, 1), (1000003, 1),
         )
-        assert xn.PrimeSignature.of(6 * 999983**2).primes == (
+        assert xn._prime_signature(6 * 999983**2).primes == (
             (2, 1), (3, 1), (999983, 2),
         )
-        assert xn.PrimeSignature.of(2**80 * 1000003).primes == (
+        assert xn._prime_signature(2**80 * 1000003).primes == (
             (2, 80), (1000003, 1),
         )
         for n in (1000003**2, 10**24 + 7, 2 * 1000003 * 1000033):
             start = time.perf_counter()
             with pytest.raises(TooLarge, match="trial division past 1000000"):
-                xn.PrimeSignature.of(n)
+                xn._prime_signature(n)
             assert time.perf_counter() - start < 2
 
 
@@ -165,7 +156,7 @@ class TestValuation:
             (Fraction(12), 2, 2),
         ]
         for q, n, expected in cases:
-            sig = xn.PrimeSignature.of(n).primes
+            sig = xn._prime_signature(n).primes
             oracle = min(naive_p_valuation(q, p) // e for p, e in sig)
             assert oracle == expected
             assert xn.valuation_in_base(q, n) == expected
@@ -293,7 +284,7 @@ class TestExponentCore:
     )
     def test_budget_counts_the_search_candidates(self, monkeypatch, beta, l, n):
         pair = xn.transitive_pair(beta, l, n)
-        primes = xn.PrimeSignature.of(n).primes
+        primes = xn._prime_signature(n).primes
         spread = max(abs(xn.p_valuation(beta, p)) for p, _ in primes)
         literal = sum(
             len(xn.smooth_divisors(n, l * level + spread + 1))
@@ -338,55 +329,6 @@ class TestUnits:
         assert xn.is_ring_unit(-8, 2)
         assert not xn.is_ring_unit(3, 2)
         assert not xn.is_ring_unit(Fraction(5, 2), 2)
-
-
-class TestNInvertible:
-    def test_membership(self):
-        xn.NInvertible.of("3/8", 2)
-        xn.NInvertible.of(Fraction(5, 12), 6)
-        with pytest.raises(InvalidParams):
-            xn.NInvertible.of(Fraction(1, 3), 2)
-        with pytest.raises(InvalidParams):
-            xn.NInvertible.of(Fraction(1, 10), 4)
-
-    def test_arithmetic_examples(self):
-        a = xn.NInvertible.of("5/2", 6)
-        b = xn.NInvertible.of("1/3", 6)
-        assert (a + b).value == Fraction(17, 6)
-        assert (a * b).value == Fraction(5, 6)
-        assert (-a).value == Fraction(-5, 2)
-
-    def test_base_mismatch(self):
-        with pytest.raises(BaseMismatch):
-            xn.NInvertible.of(1, 2) + xn.NInvertible.of(1, 3)
-
-    def test_division_closure(self):
-        a = xn.NInvertible.of(Fraction(3, 2), 2)
-        assert (a / 3).value == Fraction(1, 2)
-        with pytest.raises(NotInvertible):
-            a / 5
-
-    def test_negative_power(self):
-        u = xn.NInvertible.of(-2, 2)
-        assert (u**-1).value == Fraction(-1, 2)
-        with pytest.raises(NotInvertible):
-            xn.NInvertible.of(3, 2) ** -1
-
-    @given(n=st.sampled_from(BASES), data=st.data())
-    def test_ring_laws(self, n, data):
-        x = data.draw(ninvertibles(n))
-        y = data.draw(ninvertibles(n))
-        z = data.draw(ninvertibles(n))
-        assert ((x + y) + z).value == (x + (y + z)).value
-        assert (x * (y + z)).value == (x * y + x * z).value
-        assert (x * y).value == (y * x).value
-
-    def test_spec_surface(self):
-        x = xn.NInvertible.of(12, 2)
-        assert xn.valuation_in_base(x.value, x.base) == 2
-        assert not xn.unit_in_base(x.value, x.base)
-        assert xn.unit_in_base(3, 2)
-        assert xn.valuation_in_base(0, 2) is xn.INFINITY
 
 
 class TestPowerQuotient:

@@ -30,8 +30,7 @@ from bslat.errors import (
     ZeroTranslation,
 )
 from bslat.exactnum import (
-    NInvertible,
-    PrimeSignature,
+    _prime_signature,
     p_valuation,
     smooth_divisors,
     transitive_pair,
@@ -579,6 +578,18 @@ class TestGroupOfTops:
             LevelPermGroup(2, 1, tops=())
         with pytest.raises(InvalidParams):
             LevelPermGroup(2, 2, tops=(bytes([0, 1, 2, 3]), bytes([1, 2, 3, 0])))
+        # a top that is not a valid top is never reached, so it joins the
+        # generating set and is checked there: too short, not a
+        # permutation, and not reducing to a permutation of level 1
+        cases = [
+            (2, [1, 0], "top [1, 0] has 2 labels, not 4"),
+            (1, [0, 0], "top [0, 0] is not a permutation"),
+            (2, [1, 0, 2, 3], "top [1, 0, 2, 3] mod 2^1 has no period 2^1"),
+        ]
+        for k, top, message in cases:
+            with pytest.raises(InvalidParams) as refused:
+                LevelPermGroup(2, k, tops=(bytes(range(2**k)), bytes(top)))
+            assert str(refused.value) == message
 
     def test_membership_by_top(self):
         group = enumerate_level_group(2, 2)
@@ -622,7 +633,7 @@ class TestCollapseLevel:
             [0]
             + [
                 -(-p_valuation(m, p) // e)
-                for p, e in PrimeSignature.of(n).primes
+                for p, e in _prime_signature(n).primes
                 if m % p == 0
             ]
         )
@@ -655,12 +666,6 @@ class TestTransitivitySearch:
     def test_frozen_searches(self, n, beta, l, expected):
         assert eventually_transitive_search(beta, l, depth=4, n=n) == expected
 
-    def test_tagged_input_carries_base(self):
-        tagged = NInvertible.of(12, 2)
-        assert eventually_transitive_search(tagged, 1, depth=4) == (2, 1)
-        with pytest.raises(BaseMismatch):
-            eventually_transitive_search(tagged, 1, depth=4, n=3)
-
     def test_rejects_degenerate_input(self):
         with pytest.raises(ZeroTranslation):
             eventually_transitive_search(0, 1, n=2)
@@ -668,8 +673,6 @@ class TestTransitivitySearch:
             eventually_transitive_search(3, 0, n=2)
         with pytest.raises(InvalidParams):
             eventually_transitive_search(3, 1, depth=-1, n=2)
-        with pytest.raises(InvalidParams):
-            eventually_transitive_search(3, 1, n=None)
 
     def test_certification_cost_guard(self):
         with pytest.raises(TooLarge):
@@ -735,11 +738,6 @@ class TestLevelSum:
     def test_zero_shift_fixes_everything(self):
         report = level_sum_report(0, Fraction(7, 3), 3, n=3)
         assert report.brute == ["7/3"] * 3
-        assert report.match
-
-    def test_tagged_input(self):
-        report = level_sum_report(NInvertible.of(3, 2), Fraction(1, 2), 2)
-        assert report.params["n"] == 2
         assert report.match
 
     def test_rejects_bad_input(self):

@@ -109,10 +109,6 @@ class TestStandardEmbedding:
         assert spec.imgB.tree == BallAffineMap.base_scaling(2, 1)
         assert spec.imgB.alpha == 0
 
-    def test_string_s_accepted(self):
-        spec = standard_embedding(2, 1, "7/3", 1)
-        assert spec.imgA.alpha == Fraction(7, 3)
-
     def test_rejects_degenerate_params(self):
         with pytest.raises(InvalidParams):
             standard_embedding(2, 1, 0, 1)

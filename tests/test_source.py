@@ -6,7 +6,10 @@ so every check in ``src/bslat`` raises explicitly instead.  The literal
 JSON text is parsed in one place, ``cli._parse_json``.  A class keeps one
 form: no attribute is conjured by ``__getattr__``, and no constructor
 bypasses validation with ``object.__new__``.  A failed self-check names
-both values that disagreed.
+both values that disagreed.  Values enter the library in one form, numbers
+with an explicit base: text becomes a number only in ``cli`` and the
+``from_json`` record readers, and a record's integer field is read by
+``exactnum.record_int``.
 """
 
 import ast
@@ -156,4 +159,65 @@ def test_self_checks_name_both_values():
                 if not names_two_values(exc):
                     found.append(f"{path.name}:{node.lineno}")
     assert raised > 0
+    assert found == []
+
+
+def _calls(name):
+    """(path, innermost enclosing function or None, call) for every call of
+    the bare name."""
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == name
+            ):
+                yield path, function, child
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, path, child.name)
+            else:
+                yield from visit(child, path, function)
+
+    for path in SOURCES:
+        yield from visit(ast.parse(path.read_text(), str(path)), path, None)
+
+
+def test_no_str_branch():
+    # a constructor takes a Fraction or an int; text is parsed at the edge
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, _, node in _calls("isinstance")
+        if len(node.args) == 2
+        and "str" in {
+            name.id
+            for name in ast.walk(node.args[1])
+            if isinstance(name, ast.Name)
+        }
+    ]
+    assert found == []
+
+
+def test_text_is_parsed_at_the_edge():
+    # the command line and the JSON record readers parse rationals; the
+    # layers below them take numbers
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, function, node in _calls("parse_rational")
+        if path.name != "cli.py" and function != "from_json"
+    ]
+    assert len(list(_calls("parse_rational"))) > 1
+    assert found == []
+
+
+def test_record_integers_are_typed():
+    # int() would read "3", true and 2.5 as integers; record_int refuses them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, _, node in _calls("int")
+        if len(node.args) == 1
+        and isinstance(node.args[0], ast.Subscript)
+        and isinstance(node.args[0].slice, ast.Constant)
+        and isinstance(node.args[0].slice.value, str)
+    ]
     assert found == []
