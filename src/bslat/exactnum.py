@@ -6,7 +6,8 @@ Everything downstream works over two kinds of numbers, both exact:
   ``smooth_denominator`` tests membership in the subring Z[1/n],
 * truncated n-adic integers, i.e. residues mod n**D (``TruncatedNAdic``).
 
-Text becomes a number only in the CLI and the JSON record readers.
+Text becomes a number only in the CLI, the JSON record readers and the one
+text branch of ``lattice.standard_embedding``; ``_fraction`` refuses it.
 
 The base n may be composite.  The n-adic integers for composite n split as a
 product of p-adic rings over the primes p | n, so membership and unit tests
@@ -109,7 +110,9 @@ def _prime_signature(n: int) -> PrimeSignature:
 
 
 def _fraction(x) -> Fraction:
-    """x as a Fraction, reusing a Fraction (Fraction(x) would copy it)."""
+    """x, a Fraction or an int, as a Fraction; a Fraction is not copied."""
+    if type(x) is not Fraction and type(x) is not int:
+        raise TypeError(f"need a Fraction or an int, not {type(x).__name__}")
     return x if type(x) is Fraction else Fraction(x)
 
 

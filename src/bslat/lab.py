@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BaseMismatch,
@@ -40,6 +41,7 @@ from .tree import (
     BallAffineMap,
     LevelPermAutomorphism,
     TreeVertex,
+    check_levels,
     enumerate_cone_tops,
     is_transitive_on_up,
     levelwise_translation,
@@ -205,26 +207,16 @@ class LevelPermGroup:
         return checked
 
 
+@lru_cache(maxsize=4096)
 def _check_top(top: bytes, n: int, k: int):
-    """Refuse a top that is not the top level of a depth-k cone automorphism:
-    n**k labels, permuted, and mod n**i periodic with period n**i, i < k."""
-    size = n**k
-    if len(top) != size:
-        problem = f"has {len(top)} labels, not {size}"
-    elif bytes(sorted(top)) != bytes(range(size)):
-        problem = "is not a permutation"
-    else:
-        for i in range(1, k):
-            period = n**i
-            # x -> x % period as a translate table, built in C
-            modulo = (bytes(range(period)) * (256 // period + 1))[:256]
-            reduced = top.translate(modulo)
-            if reduced != reduced[:period] * (size // period):
-                problem = f"mod {n}^{i} has no period {n}^{i}"
-                break
-        else:
-            return
-    raise InvalidParams(f"top {list(top)} {problem}")
+    """Refuse, naming it, a top whose implied levels (level i < k: its first
+    n**i labels mod n**i) fail tree.check_levels; cached, as groups built
+    in one process adopt the same generators again."""
+    levels = [[label % n**i for label in top[: n**i]] for i in range(1, k)]
+    try:
+        check_levels(n, (*levels, top))
+    except InvalidParams as refusal:
+        raise InvalidParams(f"top {list(top)}: {refusal}") from None
 
 
 def _outside(reached, members) -> InvalidParams:

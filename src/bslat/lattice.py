@@ -30,10 +30,12 @@ from .errors import (
     ZeroTranslation,
 )
 from .exactnum import (
+    _fraction,
     _prime_signature,
     check_scaling,
     format_rational,
     p_valuation,
+    parse_rational,
     record_int,
     transitive_pair,
     valuation_in_base,
@@ -142,6 +144,8 @@ class QuotientEntry:
 def standard_embedding(n: int, l: int, s, m: int) -> EmbeddingSpec:
     """The reference embedding: a -> translation by s*m on the real factor
     and by m on the tree; stable letter -> the pure scaling of height l."""
+    # text s is from bench/record_golden.py, which changes with the benchmark
+    s = parse_rational(s) if isinstance(s, str) else _fraction(s)
     if s == 0:
         raise InvalidParams("s must be nonzero")
     if m < 1:

@@ -81,8 +81,7 @@ class TreeVertex:
 
     @staticmethod
     def of(n: int, h: int, c) -> "TreeVertex":
-        """Build a vertex, canonicalizing a center c, a Fraction or an int,
-        to its residue mod n**h."""
+        """Build a vertex, canonicalizing a Fraction or int center mod n**h."""
         return TreeVertex(n, h, nadic_residue(c, h, n))
 
     @staticmethod
@@ -386,6 +385,21 @@ def _label_step(
     return a, d
 
 
+def check_levels(n: int, perms):
+    """Refuse perms, label sequences, unless level i permutes Z/n**i and
+    level i + 1 reduces mod n**i to level i: a cone automorphism's levels."""
+    for i, perm in enumerate(perms, start=1):
+        size = n**i
+        if len(perm) != size or sorted(perm) != list(range(size)):
+            raise InvalidParams(f"level {i} is not a permutation of Z/{n}^{i}")
+    for i in range(1, len(perms)):
+        coarse, fine = perms[i - 1], perms[i]
+        size = n**i
+        for y, image in enumerate(fine):
+            if image % size != coarse[y % size]:
+                raise InvalidParams(f"levels {i} and {i + 1} incompatible at {y}")
+
+
 @dataclass(frozen=True)
 class LevelPermAutomorphism:
     """Automorphism of the depth-D upward cone of a vertex.
@@ -403,20 +417,7 @@ class LevelPermAutomorphism:
         object.__setattr__(
             self, "perms", tuple(tuple(p) for p in self.perms)
         )
-        for i, perm in enumerate(self.perms, start=1):
-            size = self.n**i
-            if len(perm) != size or sorted(perm) != list(range(size)):
-                raise InvalidParams(
-                    f"level {i} is not a permutation of Z/{self.n}^{i}"
-                )
-        for i in range(1, len(self.perms)):
-            coarse, fine = self.perms[i - 1], self.perms[i]
-            size = self.n**i
-            for y, image in enumerate(fine):
-                if image % size != coarse[y % size]:
-                    raise InvalidParams(
-                        f"levels {i} and {i + 1} incompatible at {y}"
-                    )
+        check_levels(self.n, self.perms)
 
     @property
     def depth(self) -> int:

@@ -140,6 +140,14 @@ class TestPrimeSignature:
 
 
 class TestValuation:
+    def test_numbers_are_fractions_or_ints(self):
+        # text is parsed at the edge; below it a string, a float or a bool
+        # is refused rather than read by Fraction()
+        for value in ("1", 0.5, True):
+            with pytest.raises(TypeError):
+                xn.smooth_denominator(value, 2)
+        assert xn.smooth_denominator(Fraction(1, 4), 2)
+
     def test_frozen_examples(self):
         assert xn.valuation_in_base(12, 2) == 2
         assert xn.valuation_in_base(8, 4) == 1

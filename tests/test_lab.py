@@ -580,13 +580,19 @@ class TestGroupOfTops:
             LevelPermGroup(2, 2, tops=(bytes([0, 1, 2, 3]), bytes([1, 2, 3, 0])))
         # a top that is not a valid top is never reached, so it joins the
         # generating set and is checked there: too short, not a
-        # permutation, and not reducing to a permutation of level 1
+        # permutation, incompatible with the level below, or holding a
+        # label past n**k
         cases = [
-            (2, [1, 0], "top [1, 0] has 2 labels, not 4"),
-            (1, [0, 0], "top [0, 0] is not a permutation"),
-            (2, [1, 0, 2, 3], "top [1, 0, 2, 3] mod 2^1 has no period 2^1"),
+            (2, [1, 0], "top [1, 0]: level 2 is not a permutation of Z/2^2"),
+            (1, [0, 0], "top [0, 0]: level 1 is not a permutation of Z/2^1"),
+            (2, [1, 0, 2, 3],
+             "top [1, 0, 2, 3]: levels 1 and 2 incompatible at 2"),
+            # labels past n**k are not read mod n**k at the top level
+            (2, [0, 1, 2, 7], "top [0, 1, 2, 7]: level 2 is not a "
+             "permutation of Z/2^2"),
         ]
-        for k, top, message in cases:
+        # a refusal is not cached: the second build is refused again
+        for k, top, message in cases + cases:
             with pytest.raises(InvalidParams) as refused:
                 LevelPermGroup(2, k, tops=(bytes(range(2**k)), bytes(top)))
             assert str(refused.value) == message

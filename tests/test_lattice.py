@@ -8,6 +8,7 @@ closed forms must reproduce.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,10 @@ class TestStandardEmbedding:
         assert spec.imgB.tree == BallAffineMap.base_scaling(2, 1)
         assert spec.imgB.alpha == 0
 
+    def test_string_s_accepted(self):
+        spec = standard_embedding(2, 1, "7/3", 1)
+        assert spec.imgA.alpha == Fraction(7, 3)
+
     def test_rejects_degenerate_params(self):
         with pytest.raises(InvalidParams):
             standard_embedding(2, 1, 0, 1)
@@ -119,6 +124,30 @@ class TestStandardEmbedding:
 
     def test_validate_accepts_standard(self):
         assert validate(standard_embedding(6, 2, Fraction(2, 3), 9)) == []
+
+    def test_refuses_a_float_s(self):
+        # text is parsed; any other non-number fails before arithmetic
+        with pytest.raises(TypeError):
+            standard_embedding(2, 1, 1.5, 1)
+        with pytest.raises(ParseError):
+            standard_embedding(2, 1, "1/0", 1)
+
+    def test_benchmark_records_rebuild(self, tmp_path, monkeypatch):
+        # bench/record_golden.py writes each embedding record from the text
+        # values of s in SPEC_FILES; each must equal its committed file
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        import record_golden
+        import workloads
+
+        monkeypatch.setattr(record_golden, "ROOT", tmp_path)
+        (tmp_path / "bench").mkdir()
+        record_golden.write_spec_files()
+        for stem, *_ in workloads.SPEC_FILES:
+            path = Path(workloads.spec_path(stem))
+            assert (tmp_path / path).read_text() == (
+                bench.parent / path
+            ).read_text()
 
 
 class TestValidateDiagnostics:
