@@ -28,7 +28,6 @@ from .exactnum import (
     _prime_signature,
     format_rational,
     integral_level,
-    is_ring_unit,
     smooth_denominator,
 )
 
@@ -245,13 +244,6 @@ def _power_letters(image: tuple[tuple[str, int], ...], exp: int):
     return tuple((g, -e) for g, e in reversed(image)) * (-exp)
 
 
-def theta_is_automorphism(m: int, N: int) -> bool:
-    """a -> a^m extends to an automorphism iff every prime of m divides N."""
-    if m < 1:
-        raise InvalidParams("m must be >= 1")
-    return is_ring_unit(m, N)
-
-
 def apply_collins(gen: str, w: BSWord) -> BSWord:
     """Apply one substitution generator to a word, letter by letter.
 
@@ -309,15 +301,3 @@ def apply_collins(gen: str, w: BSWord) -> BSWord:
     for letter, exp in w.letters:
         letters.extend(image(letter, exp))
     return BSWord(N, tuple(letters))
-
-
-def in_image_theta(w: BSWord, m: int) -> bool:
-    """True iff the element lies in the image of a -> a^m, b -> b.
-
-    The image subgroup <a^m, b> consists exactly of the elements whose
-    translation part lies in m * Z[1/N].
-    """
-    if m < 1:
-        raise InvalidParams("m must be >= 1")
-    c = evaluate(w).c
-    return smooth_denominator(c / m, w.N)

@@ -36,48 +36,22 @@ from .exactnum import (
     record_int,
     unit_in_base,
 )
-from .isometry import ArithmeticIsometry
-from .lab import (
-    _shift_element,
-    centralizer,
-    enumerate_level_group,
-    eventually_transitive_search,
-    jordan_index_report,
-    level_group_report,
-    level_sum_report,
-)
-from .lattice import (
-    EmbeddingSpec,
-    PresentationCase,
-    QuotientEntry,
-    are_automorphism_equivalent,
-    are_conjugate,
-    build_full_lattice,
-    classify,
-    conjugate_spec,
-    covolume_from_quotient,
-    enumerate_quotient,
-    evaluate_word,
-    presentation_relators,
-    standard_embedding,
-    straighten,
-    validate,
-)
-from .tree import (
-    BallAffineMap,
-    LevelPermAutomorphism,
-    TreeVertex,
-    act_power,
-    axis_vertex,
-    label_above,
-    levelwise_translation,
-    restrict_to_up,
-    subtree_dot,
-    translation_amount,
-)
 
 _EXIT = {"ok": 0, "validation_error": 1, "parse_error": 2, "infeasible": 3,
          "internal_error": 4}
+
+
+def _load_model_space():
+    """Import the model-space layers, for every verb outside ``bs``.
+
+    Module import loads only the word layer, so a ``bs`` verb, ``--help``
+    and a parse error compile none of these.  The other groups load all
+    four together rather than each its own, since the traced benchmark
+    looks every layer up after a warm-up that may run ``lab`` verbs alone.
+    A repeat call costs one ``sys.modules`` lookup per layer.
+    """
+    global isometry, lab, lattice, tree
+    from . import isometry, lab, lattice, tree
 
 
 @dataclass(frozen=True)
@@ -110,12 +84,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _human_lines(payload: dict, indent: str = "") -> list[str]:
-    lines = []
+def _human_lines(payload: dict, indent: str = "", lines=None) -> list[str]:
+    """The key = value lines of payload, appended to one list that the
+    recursion into nested records shares."""
+    if lines is None:
+        lines = []
     for key, value in payload.items():
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
-            lines.extend(_human_lines(value, indent + "  "))
+            _human_lines(value, indent + "  ", lines)
         elif (
             isinstance(value, list)
             and value
@@ -123,7 +100,7 @@ def _human_lines(payload: dict, indent: str = "") -> list[str]:
         ):
             for position, item in enumerate(value):
                 lines.append(f"{indent}{key}[{position}]:")
-                lines.extend(_human_lines(item, indent + "  "))
+                _human_lines(item, indent + "  ", lines)
         else:
             lines.append(f"{indent}{key} = {_format_value(value)}")
     return lines
@@ -198,10 +175,12 @@ def _load_record(path: str, kind: str, read):
         raise ParseError(f"{kind} record is malformed: {exc}") from exc
 
 
-def _obtain_spec(args) -> EmbeddingSpec:
+def _obtain_spec(args) -> lattice.EmbeddingSpec:
     """Embedding from --file, or from the standard family flags."""
     if args.file is not None:
-        spec = _load_record(args.file, "embedding", EmbeddingSpec.from_json)
+        spec = _load_record(
+            args.file, "embedding", lattice.EmbeddingSpec.from_json
+        )
         for name in ("n", "l"):
             given = getattr(args, name)
             if given is not None and given != getattr(spec, name):
@@ -212,7 +191,9 @@ def _obtain_spec(args) -> EmbeddingSpec:
         return spec
     if None in (args.n, args.l, args.s, args.m):
         raise ParseError("need --file, or all of --n --l --s --m")
-    return standard_embedding(args.n, args.l, parse_rational(args.s), args.m)
+    return lattice.standard_embedding(
+        args.n, args.l, parse_rational(args.s), args.m
+    )
 
 
 def _check_cone(n: int, depth: int, copies: int = 1):
@@ -228,7 +209,7 @@ def _check_cone(n: int, depth: int, copies: int = 1):
         raise TooLarge(f"{count} cone vertices; cap is {ORBIT_CONE_CAP}")
 
 
-def _parse_vertex(n: int, text: str) -> TreeVertex:
+def _parse_vertex(n: int, text: str) -> tree.TreeVertex:
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError(f"vertex must be HEIGHT:CENTER, got {text!r}")
@@ -239,11 +220,11 @@ def _parse_vertex(n: int, text: str) -> TreeVertex:
             f"vertex height {head!r} is not an integer"
         ) from None
     check_printable(n, height)
-    return TreeVertex.of(n, height, parse_rational(tail))
+    return tree.TreeVertex.of(n, height, parse_rational(tail))
 
 
-def _tree_map(args, n: int) -> BallAffineMap:
-    return BallAffineMap(
+def _tree_map(args, n: int) -> tree.BallAffineMap:
+    return tree.BallAffineMap(
         n,
         args.height,
         parse_rational(args.unit),
@@ -322,7 +303,7 @@ def _normal_form_record(form) -> dict:
 def _cmd_tree_act(args) -> CommandResult:
     vertex = _parse_vertex(args.n, args.vertex)
     check_printable(args.n, vertex.h + args.power * args.height)
-    image = act_power(_tree_map(args, args.n), args.power, vertex)
+    image = tree.act_power(_tree_map(args, args.n), args.power, vertex)
     return CommandResult(
         "ok",
         {
@@ -338,7 +319,7 @@ def _cmd_tree_orbit(args) -> CommandResult:
     if args.depth < 1:
         raise InvalidParams("depth must be >= 1")
     _check_cone(args.n, args.depth)
-    sigma = restrict_to_up(_tree_map(args, args.n), vertex, args.depth)
+    sigma = tree.restrict_to_up(_tree_map(args, args.n), vertex, args.depth)
     levels = []
     index_at = []
     for level in range(1, args.depth + 1):
@@ -363,9 +344,9 @@ def _cmd_tree_orbit(args) -> CommandResult:
             level = v.h - vertex.h
             if level < 1:
                 return None
-            return index_at[level - 1][label_above(vertex, v)]
+            return index_at[level - 1][tree.label_above(vertex, v)]
 
-        _write_text(args.dot, subtree_dot(vertex, args.depth, orbit_of))
+        _write_text(args.dot, tree.subtree_dot(vertex, args.depth, orbit_of))
     payload = {"vertex": vertex.to_json(), "levels": levels}
     if args.dot:
         payload["dot_file"] = args.dot
@@ -375,11 +356,11 @@ def _cmd_tree_orbit(args) -> CommandResult:
 def _cmd_tree_axis(args) -> CommandResult:
     map_ = _tree_map(args, args.n)
     check_printable(args.n, args.at_height)
-    vertex = axis_vertex(map_, args.at_height)
+    vertex = tree.axis_vertex(map_, args.at_height)
     fixed = map_.hyperbolic_fixed_point()
     if args.dot:
         _check_cone(args.n, args.depth)
-        _write_text(args.dot, subtree_dot(vertex, args.depth))
+        _write_text(args.dot, tree.subtree_dot(vertex, args.depth))
     payload = {
         "fixed_point": format_rational(fixed),
         "vertex": vertex.to_json(),
@@ -395,7 +376,7 @@ def _cmd_tree_aeta(args) -> CommandResult:
         eta = TruncatedNAdic(
             base=args.n, precision=args.depth, residue=args.eta
         )
-        built = levelwise_translation(eta)
+        built = tree.levelwise_translation(eta)
         return CommandResult(
             "ok",
             {
@@ -406,12 +387,12 @@ def _cmd_tree_aeta(args) -> CommandResult:
             },
         )
     try:
-        perm = LevelPermAutomorphism.from_lists(
+        perm = tree.LevelPermAutomorphism.from_lists(
             args.n, _parse_json(args.perms, "--perms")
         )
     except TypeError as exc:  # not a list of lists of numbers
         raise ParseError(f"--perms is malformed: {exc}") from exc
-    eta = translation_amount(perm)
+    eta = tree.translation_amount(perm)
     return CommandResult(
         "ok",
         {
@@ -430,18 +411,20 @@ def _cmd_tree_aeta(args) -> CommandResult:
 
 
 def _cmd_embed_classify(args) -> CommandResult:
-    return CommandResult("ok", classify(_obtain_spec(args)).to_json())
+    return CommandResult("ok", lattice.classify(_obtain_spec(args)).to_json())
 
 
 def _cmd_embed_validate(args) -> CommandResult:
-    problems = [str(problem) for problem in validate(_obtain_spec(args))]
+    problems = [
+        str(problem) for problem in lattice.validate(_obtain_spec(args))
+    ]
     payload = {"valid": not problems, "problems": problems}
     if problems:
         return CommandResult("validation_error", payload, tuple(problems))
     return CommandResult("ok", payload)
 
 
-def _random_conjugator(n: int, seed: int) -> ArithmeticIsometry:
+def _random_conjugator(n: int, seed: int) -> isometry.ArithmeticIsometry:
     rng = random.Random(seed)
     height = rng.randint(-3, 3)
     unit = rng.choice(
@@ -450,8 +433,8 @@ def _random_conjugator(n: int, seed: int) -> ArithmeticIsometry:
     scale = rng.choice([1, -1]) * Fraction(unit) * Fraction(n) ** height
     beta = Fraction(rng.randint(-50, 50), n ** rng.randint(0, 2))
     alpha = Fraction(rng.randint(-12, 12), rng.randint(1, 7))
-    return ArithmeticIsometry(
-        n, 1, height, alpha, BallAffineMap(n, height, scale, beta)
+    return isometry.ArithmeticIsometry(
+        n, 1, height, alpha, tree.BallAffineMap(n, height, scale, beta)
     )
 
 
@@ -469,34 +452,35 @@ def _cmd_embed_conjugate(args) -> CommandResult:
             )
         conjugator = _random_conjugator(spec.n, args.seed)
     else:
-        conjugator = ArithmeticIsometry(
+        conjugator = isometry.ArithmeticIsometry(
             spec.n,
             1,
             args.height,
             parse_rational(args.alpha),
             _tree_map(args, spec.n),
         )
-    moved = conjugate_spec(spec, conjugator)
+    moved = lattice.conjugate_spec(spec, conjugator)
     return CommandResult(
         "ok",
         {
             "conjugator": conjugator.to_json(),
             "embedding": moved.to_json(),
-            "class": classify(moved).to_json(),
+            "class": lattice.classify(moved).to_json(),
         },
     )
 
 
 def _cmd_embed_auto_equiv(args) -> CommandResult:
-    first = _load_record(args.first, "embedding", EmbeddingSpec.from_json)
-    second = _load_record(args.second, "embedding", EmbeddingSpec.from_json)
+    read = lattice.EmbeddingSpec.from_json
+    first = _load_record(args.first, "embedding", read)
+    second = _load_record(args.second, "embedding", read)
     return CommandResult(
         "ok",
         {
-            "first": classify(first).to_json(),
-            "second": classify(second).to_json(),
-            "conjugate": are_conjugate(first, second),
-            "equivalent": are_automorphism_equivalent(first, second),
+            "first": lattice.classify(first).to_json(),
+            "second": lattice.classify(second).to_json(),
+            "conjugate": lattice.are_conjugate(first, second),
+            "equivalent": lattice.are_automorphism_equivalent(first, second),
         },
     )
 
@@ -506,7 +490,7 @@ def _cmd_embed_straighten(args) -> CommandResult:
     # the window's heights, and the seed cone of depth + l - 1 levels
     _check_cone(spec.n, args.depth, 2 * args.window * spec.l + 1)
     _check_cone(spec.n, args.depth + spec.l - 1)
-    mapping = straighten(spec, args.depth, window=args.window)
+    mapping = lattice.straighten(spec, args.depth, window=args.window)
     pairs = []
     # centers straight from the certified integers, each formatted once
     for h, a, d, q, targets in mapping.layers:
@@ -527,8 +511,8 @@ def _cmd_embed_straighten(args) -> CommandResult:
 
 def _cmd_covol_enumerate(args) -> CommandResult:
     spec = _obtain_spec(args)
-    entries = enumerate_quotient(spec)
-    total = covolume_from_quotient(entries, spec.n)
+    entries = lattice.enumerate_quotient(spec)
+    total = lattice.covolume_from_quotient(entries, spec.n)
     return CommandResult(
         "ok",
         {
@@ -539,12 +523,12 @@ def _cmd_covol_enumerate(args) -> CommandResult:
     )
 
 
-def _quotient_from_json(payload) -> tuple[int, list[QuotientEntry]]:
+def _quotient_from_json(payload) -> tuple[int, list[lattice.QuotientEntry]]:
     n = record_int(payload, "n")
     _prime_signature(n)  # the base is checked before any entry
     return n, [
-        QuotientEntry(
-            TreeVertex.from_json(n, record["rep"]),
+        lattice.QuotientEntry(
+            tree.TreeVertex.from_json(n, record["rep"]),
             parse_rational(str(record["a_v"])),
             record_int(record, "h_v"),
             record_int(record, "stab0"),
@@ -555,7 +539,7 @@ def _quotient_from_json(payload) -> tuple[int, list[QuotientEntry]]:
 
 def _cmd_covol_from_quotient(args) -> CommandResult:
     n, entries = _load_record(args.file, "quotient", _quotient_from_json)
-    total = covolume_from_quotient(entries, n)
+    total = lattice.covolume_from_quotient(entries, n)
     return CommandResult(
         "ok",
         {"n": n, "entry_count": len(entries), "covolume": format_rational(total)},
@@ -566,11 +550,11 @@ def _cmd_covol_from_quotient(args) -> CommandResult:
 
 
 def _cmd_present_verify(args) -> CommandResult:
-    case = PresentationCase(args.case, args.n, args.l, args.m_ref)
-    generators = build_full_lattice(case)
+    case = lattice.PresentationCase(args.case, args.n, args.l, args.m_ref)
+    generators = lattice.build_full_lattice(case)
     checks = []
-    for relator in presentation_relators(case):
-        holds = evaluate_word(generators, relator).is_identity()
+    for relator in lattice.presentation_relators(case):
+        holds = lattice.evaluate_word(generators, relator).is_identity()
         checks.append({"relator": relator, "identity": holds})
     return CommandResult(
         "ok",
@@ -594,12 +578,12 @@ def _report_result(report) -> CommandResult:
 
 
 def _cmd_lab_count(args) -> CommandResult:
-    return _report_result(level_group_report(args.n, args.k))
+    return _report_result(lab.level_group_report(args.n, args.k))
 
 
 def _cmd_lab_centralizer(args) -> CommandResult:
-    group = enumerate_level_group(args.n, args.k)
-    sub = centralizer(_shift_element(args.n, args.k, args.m), group)
+    group = lab.enumerate_level_group(args.n, args.k)
+    sub = lab.centralizer(lab.shift_element(args.n, args.k, args.m), group)
     return CommandResult(
         "ok",
         {
@@ -614,7 +598,7 @@ def _cmd_lab_centralizer(args) -> CommandResult:
 
 
 def _cmd_lab_trans_search(args) -> CommandResult:
-    k, j = eventually_transitive_search(
+    k, j = lab.eventually_transitive_search(
         parse_rational(args.beta), args.l, depth=args.depth, n=args.n
     )
     return CommandResult(
@@ -624,7 +608,7 @@ def _cmd_lab_trans_search(args) -> CommandResult:
 
 
 def _cmd_lab_level_sum(args) -> CommandResult:
-    return _report_result(level_sum_report(
+    return _report_result(lab.level_sum_report(
         parse_rational(args.gamma),
         parse_rational(args.a_v),
         args.depth,
@@ -633,7 +617,7 @@ def _cmd_lab_level_sum(args) -> CommandResult:
 
 
 def _cmd_lab_jordan(args) -> CommandResult:
-    return _report_result(jordan_index_report(args.n, args.k, args.m))
+    return _report_result(lab.jordan_index_report(args.n, args.k, args.m))
 
 
 # ---------------------------------------------------------------- wiring
@@ -821,6 +805,8 @@ def main(argv=None) -> int:
         return _EXIT["parse_error"]
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    if args.group != "bs":
+        _load_model_space()
     try:
         result = args.handler(args)
     except ParseError as exc:

@@ -21,10 +21,6 @@ class BaseMismatch(ValidationError):
     """Operands built over different bases n were combined."""
 
 
-class NotDivisible(ValidationError):
-    """An exact division in the n-adic integers does not exist."""
-
-
 class NotInvertible(ValidationError):
     """Inverse requested for an element that has none in the working ring."""
 

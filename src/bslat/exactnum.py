@@ -44,13 +44,17 @@ FACTOR_BUDGET = 10**6  # largest trial divisor that factoring a base tries
 
 def power_exceeds(base: int, exponent: int, cap: int) -> bool:
     """base**exponent > cap, for a cap >= 0.  |base|**exponent has at least
-    exponent * (b - 1) bits, b the bit length of |base|, so a power is built
-    only while it has less than twice the bits of the cap."""
+    exponent * (b - 1) and at most exponent * b bits, b the bit length of
+    |base|, so a power is built only when those bounds straddle the cap's
+    bit length."""
     if base < 0 and exponent % 2:
         return False
     size = abs(base)
-    if exponent * (size.bit_length() - 1) >= cap.bit_length():
+    bits = size.bit_length()
+    if exponent * (bits - 1) >= cap.bit_length():
         return True
+    if 0 <= exponent and exponent * bits < cap.bit_length():
+        return False
     return size**exponent > cap
 
 

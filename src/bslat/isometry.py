@@ -14,18 +14,12 @@ and apply_automorphism work through that splitting.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BaseMismatch, InvalidParams, NotElliptic
 from .exactnum import _fraction, format_rational, parse_rational, record_int
 from .tree import BallAffineMap, affine_power
-
-
-class IsometryType(enum.Enum):
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
 
 
 @dataclass(frozen=True)
@@ -149,16 +143,6 @@ class ArithmeticIsometry:
             f"(t -> {sign}{self.n}^{self.h}*t + {format_rational(self.alpha)}; "
             f"{self.tree})"
         )
-
-
-def classify_type(f: ArithmeticIsometry) -> IsometryType:
-    """Hyperbolic iff the height change is nonzero.
-
-    A height-zero arithmetic isometry always fixes a vertex: its tree part
-    moves centers by (u-1)*c + beta, and every ball of height below the
-    valuation of that displacement is preserved.
-    """
-    return IsometryType.HYPERBOLIC if f.h else IsometryType.ELLIPTIC
 
 
 def translation_distance(f: ArithmeticIsometry) -> Fraction:

@@ -358,7 +358,9 @@ def centralizer(
     )
 
 
-def _shift_element(n: int, k: int, amount: int) -> LevelPermAutomorphism:
+def shift_element(n: int, k: int, amount: int) -> LevelPermAutomorphism:
+    """The depth-k cone automorphism acting by +amount mod n**i on every
+    level."""
     return levelwise_translation(
         TruncatedNAdic(base=n, precision=k, residue=amount % n**k)
     )
@@ -370,34 +372,6 @@ def _collapse_level(n: int, m: int) -> int:
     if m < 1:
         raise InvalidParams("m must be a positive integer")
     return integral_level(Fraction(1, m), n)
-
-
-def centralizer_bound_report(n: int, k: int, m: int) -> LemmaReport:
-    """Brute-force centralizer order of the depth-k shift by m, against
-    the claimed bound n**k * |G_l| and the split-sequence order
-    n**((k-l)*n**l) * |G_l|."""
-    level = _collapse_level(n, m)
-    if level >= k:
-        raise InvalidParams(
-            f"shift by {m} is trivial at depth {k} (l = {level}); "
-            "need l < k"
-        )
-    group = enumerate_level_group(n, k)
-    brute = len(centralizer(_shift_element(n, k, m), group))
-    lower_order = 1 if level == 0 else len(enumerate_level_group(n, level))
-    claimed = n**k * lower_order
-    structural = n ** ((k - level) * n**level) * lower_order
-    direction = "within" if brute <= claimed else "exceeds"
-    return LemmaReport.of(
-        lemma="centralizer-order-bound",
-        params={"n": n, "k": k, "m": m, "l": level},
-        brute=brute,
-        formula=claimed,
-        notes=(
-            f"split exact sequence predicts {structural}; "
-            f"brute force {direction} the claimed bound"
-        ),
-    )
 
 
 def _certification_guard(n: int, depth: int):
@@ -544,7 +518,7 @@ def jordan_index_report(n: int, k: int, m_values) -> LemmaReport:
     order = len(group)
     brute, predicted = [], []
     for m in m_values:
-        size = len(centralizer(_shift_element(n, k, m), group))
+        size = len(centralizer(shift_element(n, k, m), group))
         if order % size:
             raise AssertionError(
                 f"centralizer order {size} does not divide |G| = {order}"

@@ -315,16 +315,18 @@ def enumerate_quotient(spec: EmbeddingSpec) -> tuple[QuotientEntry, ...]:
     scale = abs(classified.s)
     format_rational(scale * Fraction(n) ** (classified.h0 + spec.l - 1))
     entries = []
+    power = Fraction(n) ** classified.h0  # n**height, stepped by n
     for i in range(spec.l):
         height = classified.h0 + i
         entries.append(
             QuotientEntry(
                 rep=axis_vertex(spec.imgB.tree, height),
-                min_translation=scale * Fraction(n) ** height,
+                min_translation=scale * power,
                 height=height,
                 fixed_order=1,
             )
         )
+        power *= n
     return tuple(entries)
 
 
@@ -334,13 +336,15 @@ def covolume_from_quotient(entries, n: int) -> Fraction:
     a_v is a printable rational, so the term, and with it the sum of
     positive terms, would be past printing anyway."""
     total = Fraction(0)
+    height = scale = None  # scale is n**-height, stepped while heights climb
     for entry in entries:
         check_scaling(n, entry.height)
-        total += (
-            entry.min_translation
-            * Fraction(n) ** (-entry.height)
-            / entry.fixed_order
-        )
+        if scale is not None and entry.height == height + 1:
+            scale /= n
+        else:
+            scale = Fraction(n) ** (-entry.height)
+        height = entry.height
+        total += entry.min_translation * scale / entry.fixed_order
     return total
 
 

@@ -29,7 +29,6 @@ from bslat.isometry import (
     translation_distance,
 )
 from bslat.lab import (
-    _shift_element,
     centralizer,
     enumerate_level_group,
     eventually_transitive_search,
@@ -37,6 +36,7 @@ from bslat.lab import (
     level_group_order_recursive,
     level_group_report,
     level_sum_report,
+    shift_element,
 )
 from bslat.lattice import (
     PresentationCase,
@@ -271,7 +271,7 @@ def test_criterion_07_shift_centralizer(capsys):
     with criterion(capsys, 7, "commuting elements are exactly the n^k level shifts"):
         for k in (1, 2, 3):
             group = enumerate_level_group(2, k)
-            commuting = centralizer(_shift_element(2, k, 1), group)
+            commuting = centralizer(shift_element(2, k, 1), group)
             assert len(commuting) == 2**k
             shifts = {
                 levelwise_translation(

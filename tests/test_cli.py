@@ -1043,6 +1043,69 @@ class TestHarness:
             assert first == second, argv
 
 
+# Runs main() once in a fresh interpreter, then prints its exit code and
+# the bslat modules it imported.
+LOADED_CHILD = (
+    "import contextlib, io, json, sys\n"
+    "from bslat.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), "
+    "contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = main(json.loads(sys.argv[1]))\n"
+    "print(json.dumps([code, sorted(\n"
+    "    name for name in sys.modules if name.startswith('bslat.')\n"
+    ")]))\n"
+)
+
+WORD_LAYERS = ["bslat.bsgroup", "bslat.cli", "bslat.errors", "bslat.exactnum"]
+MODEL_SPACE = ["bslat.isometry", "bslat.lab", "bslat.lattice", "bslat.tree"]
+
+
+class TestLayerLoading:
+    """A bs verb, --help and a parse error load only the word layer; every
+    other verb group loads the four model-space layers, all of them, since
+    the traced benchmark looks each one up after its warm-up."""
+
+    @staticmethod
+    def loaded(argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_CHILD, json.dumps(argv)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ,
+                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, modules = json.loads(proc.stdout)
+        return code, modules
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bs", "normalize", "--N", "2", "b^-1 a b"], 0),
+        (["bs", "mult", "--N", "3", "a", "b"], 0),
+        (["bs", "collins", "--N", "2", "C", "b"], 0),
+        (["bs", "normalize", "--N", "2", "a^"], 2),
+        (["--help"], 0),
+        (["lab", "--help"], 0),
+        (["embed", "classify", "--help"], 0),
+        (["bs"], 2),
+        (["tree", "act", "--n", "2"], 2),
+        (["lab", "count-hk", "--n", "2", "--k", "x"], 2),
+        (["nosuch"], 2),
+    ])
+    def test_word_layer_only(self, argv, code):
+        assert self.loaded(argv) == (code, WORD_LAYERS)
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "act", "--n", "2", "--beta", "3", "--vertex", "2:1"],
+        ["embed", "classify", "--n", "2", "--l", "1", "--s", "1", "--m", "1"],
+        ["covol", "enumerate", "--n", "2", "--l", "1", "--s", "1", "--m", "1"],
+        ["present", "verify", "--case", "1", "--n", "2", "--l", "1"],
+        ["lab", "count-hk", "--n", "2", "--k", "2"],
+    ])
+    def test_every_model_space_layer(self, argv):
+        assert self.loaded(argv) == (0, sorted(WORD_LAYERS + MODEL_SPACE))
+
+
 
 def _emit_line_by_line(result, as_json):
     """The output loop _emit replaced: one print per line."""

@@ -12,16 +12,20 @@ from hypothesis import given, settings, strategies as st
 from bslat import exactnum as xn
 from bslat.errors import (
     InvalidParams,
-    NotDivisible,
     NotInvertible,
     ParseError,
     TooLarge,
+    ValidationError,
 )
 
 BASES = [2, 3, 4, 6, 10, 12]
 
 
 # Helpers that only the tests need.
+
+
+class NotDivisible(ValidationError):
+    """An exact division in the n-adic integers does not exist."""
 
 
 def power_quotient(j: int, k: int, n: int) -> int:

@@ -1,5 +1,6 @@
 """Arithmetic isometries: composition, the dichotomy, td, the splitting."""
 
+import enum
 import math
 from fractions import Fraction
 
@@ -17,9 +18,7 @@ from bslat.exactnum import is_ring_unit
 from bslat.isometry import (
     AmbientAutomorphism,
     ArithmeticIsometry,
-    IsometryType,
     apply_automorphism,
-    classify_type,
     decompose,
     translation_distance,
 )
@@ -89,6 +88,21 @@ def loop_power(f, k):
         square = square.compose(square)
         k >>= 1
     return result
+
+
+class IsometryType(enum.Enum):
+    ELLIPTIC = "elliptic"
+    HYPERBOLIC = "hyperbolic"
+
+
+def classify_type(f: ArithmeticIsometry) -> IsometryType:
+    """Hyperbolic iff the height change is nonzero.
+
+    A height-zero arithmetic isometry always fixes a vertex: its tree part
+    moves centers by (u-1)*c + beta, and every ball of height below the
+    valuation of that displacement is preserved.
+    """
+    return IsometryType.HYPERBOLIC if f.h else IsometryType.ELLIPTIC
 
 
 def unit_pair(n):

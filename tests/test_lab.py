@@ -45,10 +45,8 @@ from bslat.lab import (
     _generated,
     _outside,
     _padded,
-    _shift_element,
     _top_of,
     centralizer,
-    centralizer_bound_report,
     enumerate_level_group,
     eventually_transitive_search,
     jordan_index_report,
@@ -56,6 +54,7 @@ from bslat.lab import (
     level_group_order_recursive,
     level_group_report,
     level_sum_report,
+    shift_element,
 )
 from bslat.lattice import classify, standard_embedding
 from bslat.tree import LevelPermAutomorphism
@@ -330,8 +329,8 @@ class TestCosetCertificate:
         # not the first in set order, and the raise is explicit, so it
         # survives python -O
         code = (
-            "from bslat.lab import LevelPermGroup, _shift_element, _top_of\n"
-            "shifts = tuple(_top_of(_shift_element(2, 3, a))\n"
+            "from bslat.lab import LevelPermGroup, shift_element, _top_of\n"
+            "shifts = tuple(_top_of(shift_element(2, 3, a))\n"
             "               for a in (0, 1, 7))\n"
             "tops = tuple(map(bytes, ([0, 1, 2, 3], [0, 3, 2, 1],\n"
             "                         [2, 1, 0, 3], [3, 2, 1, 0])))\n"
@@ -364,7 +363,7 @@ class TestCosetCertificate:
         # swap sorts after them, and <H, t> has more than 10**6 elements:
         # the reached set must be refused once it outgrows the 66 elements
         n, k = 2, 6
-        shifts = [_top_of(_shift_element(n, k, a)) for a in range(n**k)]
+        shifts = [_top_of(shift_element(n, k, a)) for a in range(n**k)]
         swap = bytearray(range(64))
         swap[0], swap[32] = 32, 0
         t = bytes(63 - x for x in range(64)).translate(_padded(bytes(swap)))
@@ -383,10 +382,10 @@ class TestCentralizer:
     def test_shift_centralizer_is_the_shift_subgroup(self):
         for n, k in [(2, 2), (2, 3), (3, 1)]:
             group = enumerate_level_group(n, k)
-            sub = centralizer(_shift_element(n, k, 1), group)
+            sub = centralizer(shift_element(n, k, 1), group)
             assert len(sub) == n**k
             assert set(_elements(sub)) == {
-                _shift_element(n, k, r) for r in range(n**k)
+                shift_element(n, k, r) for r in range(n**k)
             }
 
     def test_identity_is_central(self):
@@ -395,19 +394,19 @@ class TestCentralizer:
 
     def test_doubled_shift_is_central_at_depth_two(self):
         group = enumerate_level_group(2, 2)
-        assert len(centralizer(_shift_element(2, 2, 2), group)) == 8
+        assert len(centralizer(shift_element(2, 2, 2), group)) == 8
 
     def test_depth_three_orders(self):
         group = enumerate_level_group(2, 3)
-        assert len(centralizer(_shift_element(2, 3, 1), group)) == 8
-        assert len(centralizer(_shift_element(2, 3, 2), group)) == 32
+        assert len(centralizer(shift_element(2, 3, 1), group)) == 8
+        assert len(centralizer(shift_element(2, 3, 2), group)) == 32
 
     def test_membership_enforced(self):
         group = enumerate_level_group(2, 2)
         shallow = LevelPermAutomorphism.identity(2, 1)
         with pytest.raises(NotMember):
             centralizer(shallow, group)
-        shifts = centralizer(_shift_element(2, 2, 1), group)
+        shifts = centralizer(shift_element(2, 2, 1), group)
         outsider = next(g for g in _elements(group) if g not in shifts)
         with pytest.raises(NotMember):
             centralizer(outsider, shifts)
@@ -437,7 +436,7 @@ class TestCentralizerSearch:
     def test_every_shift_matches_the_filter(self, n, k):
         group = enumerate_level_group(n, k)
         for m in range(1, n**k):
-            shift = _shift_element(n, k, m)
+            shift = shift_element(n, k, m)
             assert centralizer(shift, group).tops == (
                 _filtered_centralizer(shift, group)
             )
@@ -453,7 +452,7 @@ class TestCentralizerSearch:
     def test_subgroup_matches_the_filter(self):
         for n, k, m in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
             group = enumerate_level_group(n, k)
-            sub = centralizer(_shift_element(n, k, m), group)
+            sub = centralizer(shift_element(n, k, m), group)
             assert len(sub) < len(group)
             outsider = next(g for g in _elements(group) if g not in sub)
             shifts_of_outsider = centralizer(outsider, group)
@@ -488,7 +487,7 @@ class TestCentralizerSearch:
         assert group.verify_closure() == 32902 == sum(
             1 + 2 ** (i - 1) + i for i in range(1, 16)
         )
-        assert len(centralizer(_shift_element(2, 4, 1), group)) == 16
+        assert len(centralizer(shift_element(2, 4, 1), group)) == 16
         assert built == [4]  # the shift itself
 
 
@@ -599,11 +598,39 @@ class TestGroupOfTops:
 
     def test_membership_by_top(self):
         group = enumerate_level_group(2, 2)
-        shifts = centralizer(_shift_element(2, 2, 1), group)
-        assert _shift_element(2, 2, 3) in shifts
+        shifts = centralizer(shift_element(2, 2, 1), group)
+        assert shift_element(2, 2, 3) in shifts
         assert LevelPermAutomorphism(2, ((0, 1), (2, 1, 0, 3))) not in shifts
         assert LevelPermAutomorphism.identity(2, 1) not in group
         assert LevelPermAutomorphism.identity(3, 2) not in group
+
+
+def centralizer_bound_report(n: int, k: int, m: int) -> LemmaReport:
+    """Brute-force centralizer order of the depth-k shift by m, against
+    the claimed bound n**k * |G_l| and the split-sequence order
+    n**((k-l)*n**l) * |G_l|."""
+    level = _collapse_level(n, m)
+    if level >= k:
+        raise InvalidParams(
+            f"shift by {m} is trivial at depth {k} (l = {level}); "
+            "need l < k"
+        )
+    group = enumerate_level_group(n, k)
+    brute = len(centralizer(shift_element(n, k, m), group))
+    lower_order = 1 if level == 0 else len(enumerate_level_group(n, level))
+    claimed = n**k * lower_order
+    structural = n ** ((k - level) * n**level) * lower_order
+    direction = "within" if brute <= claimed else "exceeds"
+    return LemmaReport.of(
+        lemma="centralizer-order-bound",
+        params={"n": n, "k": k, "m": m, "l": level},
+        brute=brute,
+        formula=claimed,
+        notes=(
+            f"split exact sequence predicts {structural}; "
+            f"brute force {direction} the claimed bound"
+        ),
+    )
 
 
 class TestCentralizerBoundReport:

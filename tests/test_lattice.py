@@ -420,6 +420,21 @@ class TestQuotient:
         for entry in enumerate_quotient(spec):
             assert brute_min_translation(spec, entry.rep) == entry.min_translation
 
+    @pytest.mark.parametrize("n, l, s, m", [
+        (2, 5, Fraction(3), 1),
+        (6, 4, Fraction(-2, 3), 9),
+        (3, 3, Fraction(1, 9), 1),
+    ])
+    def test_distances_step_by_n(self, n, l, s, m):
+        spec = standard_embedding(n, l, s, m)
+        classified = classify(spec)
+        entries = enumerate_quotient(spec)
+        h0 = classified.h0
+        assert [e.height for e in entries] == list(range(h0, h0 + l))
+        assert [e.min_translation for e in entries] == [
+            abs(classified.s) * Fraction(n) ** h for h in range(h0, h0 + l)
+        ]
+
     def test_brute_force_negative_heights(self):
         a = ArithmeticIsometry(
             2, 1, 0, Fraction(3, 2), BallAffineMap.translation(2, Fraction(3, 4))
@@ -465,6 +480,38 @@ class TestCovolume:
                     [QuotientEntry(v0, Fraction(3), h, 1)], 2
                 )
             assert time.perf_counter() - start < 2
+        # a height one step past the last one is checked too
+        with pytest.raises(TooLarge, match="more than 262144 bits"):
+            covolume_from_quotient(
+                [
+                    QuotientEntry(v0, Fraction(3), h, 1)
+                    for h in (262143, 262144)
+                ],
+                2,
+            )
+
+    @given(
+        st.sampled_from([2, 3, 6]),
+        st.lists(
+            st.tuples(
+                st.integers(-4, 4),
+                st.integers(1, 20),
+                st.integers(1, 3),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_the_sum_of_powers(self, n, rows):
+        # heights in any order, with runs, gaps and repeats
+        v0 = TreeVertex(n, 0, Fraction(0))
+        entries = [
+            QuotientEntry(v0, Fraction(a_v), h, stab0)
+            for h, a_v, stab0 in rows
+        ]
+        assert covolume_from_quotient(entries, n) == sum(
+            Fraction(a_v) * Fraction(n) ** -h / stab0
+            for h, a_v, stab0 in rows
+        )
 
     def test_unreduced_multiplier(self):
         assert covolume(standard_embedding(2, 1, 1, 3)) == 3
