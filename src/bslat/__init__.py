@@ -2,9 +2,11 @@
 
 Modules:
 
-* ``exactnum``  -- rationals, Z[1/n], truncated n-adics, valuations
+* ``exactnum``  -- rationals, Z[1/n], n-adic residues, valuations
+* ``frozen``    -- the immutable value-class base of ``bsgroup`` and ``cli``
 * ``bsgroup``   -- BS(1,N) words, normal forms, substitution endomorphisms
-* ``tree``      -- the regular rooted-at-infinity tree in ball coordinates
+* ``tree``      -- the regular rooted-at-infinity tree in ball coordinates,
+  and truncated n-adics
 * ``isometry``  -- the arithmetic subgroup of the model-space isometries
 * ``lattice``   -- lattice embeddings, their conjugacy invariant, covolume
 * ``lab``       -- brute-force finite-depth experiments and reports

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,6 +29,7 @@ from .exactnum import (
     integral_level,
     smooth_denominator,
 )
+from .frozen import Frozen, set_field
 
 _TOKEN = re.compile(r"^([A-Za-z])(?:\^(-?\d+))?$")
 
@@ -88,20 +88,22 @@ def _merge(letters):
     return tuple((g, e) for g, e in merged)
 
 
-@dataclass(frozen=True)
-class BSWord:
+class BSWord(Frozen):
     """Word in the generators a, b; adjacent equal letters are merged."""
 
+    __slots__ = ("N", "letters")
     N: int
-    letters: tuple[tuple[str, int], ...] = ()
+    letters: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise InvalidParams(f"N must be >= 2, got {self.N}")
-        object.__setattr__(self, "letters", _merge(self.letters))
-        for gen, _ in self.letters:
+    def __init__(self, N: int, letters: tuple[tuple[str, int], ...] = ()):
+        if N < 2:
+            raise InvalidParams(f"N must be >= 2, got {N}")
+        letters = _merge(letters)
+        for gen, _ in letters:
             if gen not in ("a", "b"):
                 raise InvalidParams(f"unknown generator {gen!r}")
+        set_field(self, "N", N)
+        set_field(self, "letters", letters)
 
     @staticmethod
     def from_text(N: int, text: str) -> "BSWord":
@@ -121,21 +123,22 @@ class BSWord:
         return format_letters(self.letters)
 
 
-@dataclass(frozen=True)
-class AffineInvariant:
+class AffineInvariant(Frozen):
     """The affine map t -> N^h * t + c attached to a group element."""
 
+    __slots__ = ("N", "h", "c")
     N: int
     h: int
     c: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.c, Fraction):
-            object.__setattr__(self, "c", Fraction(self.c))
-        if not smooth_denominator(self.c, self.N):
-            raise InvalidParams(
-                f"translation part {self.c} is not in Z[1/{self.N}]"
-            )
+    def __init__(self, N: int, h: int, c: Fraction):
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not smooth_denominator(c, N):
+            raise InvalidParams(f"translation part {c} is not in Z[1/{N}]")
+        set_field(self, "N", N)
+        set_field(self, "h", h)
+        set_field(self, "c", c)
 
     def compose(self, other: "AffineInvariant") -> "AffineInvariant":
         """self after other, i.e. the invariant of the product self*other."""
@@ -157,23 +160,27 @@ class AffineInvariant:
         return AffineInvariant(N, 0, Fraction(0))
 
 
-@dataclass(frozen=True)
-class BSNormalForm:
+class BSNormalForm(Frozen):
     """The unique expression b^-x a^y b^z of a group element."""
 
+    __slots__ = ("N", "x", "y", "z")
     N: int
     x: int
     y: int
     z: int
 
-    def __post_init__(self):
-        if self.x < 0 or self.z < 0:
+    def __init__(self, N: int, x: int, y: int, z: int):
+        if x < 0 or z < 0:
             raise InvalidParams("normal form requires x, z >= 0")
-        if self.x > 0 and self.z > 0 and self.y % self.N == 0:
+        if x > 0 and z > 0 and y % N == 0:
             raise InvalidParams(
-                f"not a normal form: N={self.N} divides y={self.y} "
-                f"with x={self.x} > 0 and z={self.z} > 0"
+                f"not a normal form: N={N} divides y={y} "
+                f"with x={x} > 0 and z={z} > 0"
             )
+        set_field(self, "N", N)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
     def invariant(self) -> AffineInvariant:
         return AffineInvariant(
@@ -277,7 +284,7 @@ def apply_collins(gen: str, w: BSWord) -> BSWord:
             index = int(gen[1:])
         except ValueError:
             raise InvalidGenerator(f"unknown generator {gen!r}") from None
-        primes = [p for p, _ in _prime_signature(N).primes]
+        primes = [p for p, _ in _prime_signature(N)]
         if not 1 <= index <= len(primes):
             raise InvalidGenerator(
                 f"{gen} out of range: {N} has {len(primes)} prime(s)"

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bsgroup
 from .errors import InvalidParams, ParseError, TooLarge, ValidationError
 from .exactnum import (
     ORBIT_CONE_CAP,
-    TruncatedNAdic,
     _prime_signature,
     check_printable,
     format_quotient,
@@ -36,6 +33,7 @@ from .exactnum import (
     record_int,
     unit_in_base,
 )
+from .frozen import Frozen, set_field
 
 _EXIT = {"ok": 0, "validation_error": 1, "parse_error": 2, "infeasible": 3,
          "internal_error": 4}
@@ -54,19 +52,23 @@ def _load_model_space():
     from . import isometry, lab, lattice, tree
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Frozen):
     """Outcome of one subcommand: a status tag, the operation's record, and
     any diagnostic lines (failure reasons, or informational notes when the
     status is ok)."""
 
+    __slots__ = ("status", "payload", "diagnostics")
     status: str
     payload: dict
-    diagnostics: tuple[str, ...] = field(default=())
+    diagnostics: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.status not in _EXIT:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, status: str, payload: dict,
+                 diagnostics: tuple[str, ...] = ()):
+        if status not in _EXIT:
+            raise ValueError(f"unknown status {status!r}")
+        set_field(self, "status", status)
+        set_field(self, "payload", payload)
+        set_field(self, "diagnostics", diagnostics)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +82,8 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
+        import json
+
         return json.dumps(value)
     return str(value)
 
@@ -108,6 +112,8 @@ def _human_lines(payload: dict, indent: str = "", lines=None) -> list[str]:
 
 def _emit(result: CommandResult, as_json: bool) -> int:
     if as_json:
+        import json
+
         record = {
             "status": result.status,
             "payload": result.payload,
@@ -130,6 +136,8 @@ def _parse_json(text: str, where: str):
     """The value of JSON text.  Text that is not JSON, or that Python cannot
     hold (an integer literal past the digit limit, nesting past the
     recursion limit), is a ParseError naming where the text came from."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -373,7 +381,7 @@ def _cmd_tree_axis(args) -> CommandResult:
 def _cmd_tree_aeta(args) -> CommandResult:
     if args.eta is not None:
         _check_cone(args.n, args.depth)
-        eta = TruncatedNAdic(
+        eta = tree.TruncatedNAdic(
             base=args.n, precision=args.depth, residue=args.eta
         )
         built = tree.levelwise_translation(eta)
@@ -623,15 +631,17 @@ def _cmd_lab_jordan(args) -> CommandResult:
 # ---------------------------------------------------------------- wiring
 
 
-@functools.cache
-def _build_parser() -> _Parser:
+def _json_flag() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--json",
         action="store_true",
         help="emit one canonical JSON object instead of key = value lines",
     )
+    return shared
 
+
+def _spec_source() -> argparse.ArgumentParser:
     spec_source = argparse.ArgumentParser(add_help=False)
     spec_source.add_argument(
         "--file", help="embedding record file with fields n, l, a, b"
@@ -640,26 +650,11 @@ def _build_parser() -> _Parser:
     spec_source.add_argument("--l", type=int, help="stable letter height")
     spec_source.add_argument("--s", help="rational translation parameter")
     spec_source.add_argument("--m", type=int, help="tree multiplier")
+    return spec_source
 
-    ball_map = argparse.ArgumentParser(add_help=False)
-    ball_map.add_argument("--n", type=int, required=True)
-    ball_map.add_argument("--height", type=int, default=0)
-    ball_map.add_argument("--unit", default="1", help="rational slope u")
-    ball_map.add_argument("--beta", default="0", help="rational offset")
 
-    parser = _Parser(
-        prog="bslat",
-        description="Exact computations in the isometry group of the "
-        "Baumslag-Solitar model space.",
-    )
-    groups = parser.add_subparsers(
-        dest="group", required=True, parser_class=_Parser
-    )
-
-    group_bs = groups.add_parser("bs", help="normal forms in BS(1,N)")
-    verbs = group_bs.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
+def _bs_verbs(verbs):
+    shared = _json_flag()
     sub = verbs.add_parser("normalize", parents=[shared])
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("word")
@@ -679,10 +674,15 @@ def _build_parser() -> _Parser:
     sub.add_argument("word")
     sub.set_defaults(handler=_cmd_bs_collins)
 
-    group_tree = groups.add_parser("tree", help="vertex actions and axes")
-    verbs = group_tree.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
+
+def _tree_verbs(verbs):
+    shared = _json_flag()
+    ball_map = argparse.ArgumentParser(add_help=False)
+    ball_map.add_argument("--n", type=int, required=True)
+    ball_map.add_argument("--height", type=int, default=0)
+    ball_map.add_argument("--unit", default="1", help="rational slope u")
+    ball_map.add_argument("--beta", default="0", help="rational offset")
+
     sub = verbs.add_parser("act", parents=[shared, ball_map])
     sub.add_argument("--vertex", required=True, help="HEIGHT:CENTER")
     sub.add_argument("--power", type=int, default=1)
@@ -707,10 +707,9 @@ def _build_parser() -> _Parser:
     )
     sub.set_defaults(handler=_cmd_tree_aeta)
 
-    group_embed = groups.add_parser("embed", help="lattice embeddings")
-    verbs = group_embed.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
+
+def _embed_verbs(verbs):
+    shared, spec_source = _json_flag(), _spec_source()
     sub = verbs.add_parser("classify", parents=[shared, spec_source])
     sub.set_defaults(handler=_cmd_embed_classify)
     sub = verbs.add_parser("validate", parents=[shared, spec_source])
@@ -736,33 +735,27 @@ def _build_parser() -> _Parser:
     sub.add_argument("--window", type=int, default=2)
     sub.set_defaults(handler=_cmd_embed_straighten)
 
-    group_covol = groups.add_parser("covol", help="quotient graph data")
-    verbs = group_covol.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
-    sub = verbs.add_parser("enumerate", parents=[shared, spec_source])
+
+def _covol_verbs(verbs):
+    shared = _json_flag()
+    sub = verbs.add_parser("enumerate", parents=[shared, _spec_source()])
     sub.set_defaults(handler=_cmd_covol_enumerate)
     sub = verbs.add_parser("from-quotient", parents=[shared])
     sub.add_argument("--file", required=True)
     sub.set_defaults(handler=_cmd_covol_from_quotient)
 
-    group_present = groups.add_parser(
-        "present", help="presentation verification"
-    )
-    verbs = group_present.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
-    sub = verbs.add_parser("verify", parents=[shared])
+
+def _present_verbs(verbs):
+    sub = verbs.add_parser("verify", parents=[_json_flag()])
     sub.add_argument("--case", type=int, required=True, choices=(1, 2, 3))
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--m-ref", type=int, default=None)
     sub.set_defaults(handler=_cmd_present_verify)
 
-    group_lab = groups.add_parser("lab", help="finite brute-force reports")
-    verbs = group_lab.add_subparsers(
-        dest="verb", required=True, parser_class=_Parser
-    )
+
+def _lab_verbs(verbs):
+    shared = _json_flag()
     sub = verbs.add_parser("count-hk", parents=[shared])
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
@@ -793,11 +786,63 @@ def _build_parser() -> _Parser:
     )
     sub.set_defaults(handler=_cmd_lab_jordan)
 
+
+# group -> (help, the function that adds its verbs)
+_GROUPS = {
+    "bs": ("normal forms in BS(1,N)", _bs_verbs),
+    "tree": ("vertex actions and axes", _tree_verbs),
+    "embed": ("lattice embeddings", _embed_verbs),
+    "covol": ("quotient graph data", _covol_verbs),
+    "present": ("presentation verification", _present_verbs),
+    "lab": ("finite brute-force reports", _lab_verbs),
+}
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The top-level grammar, listing every group but no verb yet.
+
+    ``unbuilt`` maps each group whose verbs are not yet in the grammar to its
+    parser; ``_add_verbs`` builds them on first use.  That state lives on
+    the cached parser, so clearing the cache resets all of it.
+    """
+    parser = _Parser(
+        prog="bslat",
+        description="Exact computations in the isometry group of the "
+        "Baumslag-Solitar model space.",
+    )
+    groups = parser.add_subparsers(
+        dest="group", required=True, parser_class=_Parser
+    )
+    parser.unbuilt = {
+        name: groups.add_parser(name, help=help)
+        for name, (help, _) in _GROUPS.items()
+    }
     return parser
 
 
+def _add_verbs(parser: _Parser, argv):
+    """Add the verbs of the group that argv names to the grammar, once.
+
+    That group is the first token naming one: the top-level parser defines
+    no option that takes a value, so no earlier token can be read as the
+    group.  An argv naming no group (``--help``, an unknown group) builds
+    no verbs, and needs none.
+    """
+    for token in argv:
+        if token in _GROUPS:
+            group = parser.unbuilt.pop(token, None)
+            if group is not None:
+                _GROUPS[token][1](group.add_subparsers(
+                    dest="verb", required=True, parser_class=_Parser
+                ))
+            return
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
+    _add_verbs(parser, argv)
     try:
         args = parser.parse_args(argv)
     except ParseError as exc:

@@ -4,7 +4,8 @@ Everything downstream works over two kinds of numbers, both exact:
 
 * rationals (``fractions.Fraction`` or int), each with an explicit base n;
   ``smooth_denominator`` tests membership in the subring Z[1/n],
-* truncated n-adic integers, i.e. residues mod n**D (``TruncatedNAdic``).
+* truncated n-adic integers, i.e. residues mod n**D (``nadic_residue``;
+  ``tree.TruncatedNAdic`` holds one with its base and precision).
 
 Text becomes a number only in the CLI, the JSON record readers and the one
 text branch of ``lattice.standard_embedding``; ``_fraction`` refuses it.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,16 +83,9 @@ def check_printable(n: int, h: int):
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
-class PrimeSignature:
-    """Factorization n = prod p**e_p, p listed in increasing order."""
-
-    base: int
-    primes: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def _prime_signature(n: int) -> PrimeSignature:
+def _prime_signature(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization n = prod p**e_p as ((p, e_p), ...), p increasing."""
     if n < 2:
         raise InvalidParams(f"base must be >= 2, got {n}")
     rest, factors, p = n, [], 2
@@ -110,7 +103,7 @@ def _prime_signature(n: int) -> PrimeSignature:
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return PrimeSignature(base=n, primes=tuple(factors))
+    return tuple(factors)
 
 
 def _fraction(x) -> Fraction:
@@ -133,7 +126,7 @@ def _strip(x: int, p: int) -> tuple[int, int]:
 
 def _coprime_part(x: int, n: int) -> int:
     """x with every prime factor of n divided out."""
-    for p, _ in _prime_signature(n).primes:
+    for p, _ in _prime_signature(n):
         x = _strip(x, p)[1]
     return x
 
@@ -160,14 +153,14 @@ def valuation_in_base(x, n: int):
     if q == 0:
         return INFINITY
     return min(
-        p_valuation(q, p) // e for p, e in _prime_signature(n).primes
+        p_valuation(q, p) // e for p, e in _prime_signature(n)
     )
 
 
 def integral_in_base(x, n: int) -> bool:
     """True iff x lies in Z_n, i.e. v_p(x) >= 0 for every p | n."""
     q = _fraction(x)
-    return all(p_valuation(q, p) >= 0 for p, _ in _prime_signature(n).primes)
+    return all(p_valuation(q, p) >= 0 for p, _ in _prime_signature(n))
 
 
 def unit_in_base(x, n: int) -> bool:
@@ -175,7 +168,7 @@ def unit_in_base(x, n: int) -> bool:
     q = _fraction(x)
     if q == 0:
         return False
-    return all(p_valuation(q, p) == 0 for p, _ in _prime_signature(n).primes)
+    return all(p_valuation(q, p) == 0 for p, _ in _prime_signature(n))
 
 
 def in_ball(x, height: int, n: int) -> bool:
@@ -183,7 +176,7 @@ def in_ball(x, height: int, n: int) -> bool:
     q = _fraction(x)
     return all(
         p_valuation(q, p) >= height * e
-        for p, e in _prime_signature(n).primes
+        for p, e in _prime_signature(n)
     )
 
 
@@ -195,7 +188,7 @@ def smooth_divisors(n: int, level_cap: int) -> list[int]:
     if level_cap < 0:
         raise InvalidParams("level_cap must be >= 0")
     divisors = [1]
-    for p, e in _prime_signature(n).primes:
+    for p, e in _prime_signature(n):
         divisors = [
             d * p**t for d in divisors for t in range(level_cap * e + 1)
         ]
@@ -208,7 +201,7 @@ def integral_level(x, n: int, l: int = 1) -> int:
     q = _fraction(x)
     if q == 0:
         return 0
-    primes = _prime_signature(n).primes
+    primes = _prime_signature(n)
     return max(0, *(-(p_valuation(q, p) // (l * e)) for p, e in primes))
 
 
@@ -226,7 +219,7 @@ def transitive_pair(beta, l: int, n: int) -> tuple[int, int]:
             f"the (k, j) search stops below k = {SEARCH_LEVEL_CAP}; "
             f"the formula gives k = {k}"
         )
-    primes = _prime_signature(n).primes
+    primes = _prime_signature(n)
     spread = max(abs(p_valuation(q, p)) for p, _ in primes)
     candidates = sum(  # the divisors of n**(l*level + spread + 1) it scans
         math.prod((l * level + spread + 1) * e + 1 for _, e in primes)
@@ -254,7 +247,7 @@ def _search_pair(beta: Fraction, l: int, n: int):
     """Literal transitive_pair: for k = 0, 1, ... below SEARCH_LEVEL_CAP try
     the divisors of n**(l*k + spread + 1) in increasing order; None when
     nothing is found."""
-    primes = _prime_signature(n).primes
+    primes = _prime_signature(n)
     spread = max(abs(p_valuation(beta, p)) for p, _ in primes)
     for k in range(SEARCH_LEVEL_CAP):
         scale = Fraction(n) ** (l * k)
@@ -297,34 +290,6 @@ def nadic_residue(x, height: int, n: int) -> Fraction:
     modulus = n ** (height + shift)
     inv = pow(coprime_part, -1, modulus)
     return Fraction((scaled_num * inv) % modulus, n**shift)
-
-
-@dataclass(frozen=True)
-class TruncatedNAdic:
-    """Residue mod base**precision, standing in for an n-adic integer."""
-
-    base: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        _prime_signature(self.base)
-        if self.precision < 0:
-            raise InvalidParams("precision must be >= 0")
-        modulus = self.base**self.precision
-        if not 0 <= self.residue < modulus:
-            object.__setattr__(self, "residue", self.residue % modulus)
-
-    def residue_at(self, level: int) -> int:
-        """The residue mod base**level, for level <= precision."""
-        if not 0 <= level <= self.precision:
-            raise InvalidParams(
-                f"level {level} outside [0, {self.precision}]"
-            )
-        return self.residue % self.base**level
-
-    def __str__(self):
-        return f"{self.residue} mod {self.base}^{self.precision}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -29,7 +29,6 @@ from .exactnum import (
     ABELIAN_SEARCH_CAP,
     SIZE_CAP,
     TOP_CAP,
-    TruncatedNAdic,
     format_rational,
     integral_in_base,
     integral_level,
@@ -41,6 +40,7 @@ from .tree import (
     BallAffineMap,
     LevelPermAutomorphism,
     TreeVertex,
+    TruncatedNAdic,
     check_levels,
     enumerate_cone_tops,
     is_transitive_on_up,

@@ -205,14 +205,16 @@ def validate(spec: EmbeddingSpec) -> list[ValidationError]:
 def _h0_by_axis_walk(spec: EmbeddingSpec) -> int:
     """Literal reading of h0: walk the axis of the stable letter to the
     highest vertex fixed by the image of a."""
-    shift = BallAffineMap.translation(spec.n, spec.imgA.tree.beta)
-    axis_tree = spec.imgB.tree
+    n = spec.n
+    shift = BallAffineMap.translation(n, spec.imgA.tree.beta)
+    # the axis vertex at height h is the ball of that height around x*
+    x_star = spec.imgB.tree.hyperbolic_fixed_point()
     h = 0
-    if fixes(shift, axis_vertex(axis_tree, 0)):
-        while fixes(shift, axis_vertex(axis_tree, h + 1)):
+    if fixes(shift, TreeVertex.of(n, 0, x_star)):
+        while fixes(shift, TreeVertex.of(n, h + 1, x_star)):
             h += 1
     else:
-        while not fixes(shift, axis_vertex(axis_tree, h)):
+        while not fixes(shift, TreeVertex.of(n, h, x_star)):
             h -= 1
     return h
 
@@ -242,7 +244,7 @@ def classify(spec: EmbeddingSpec) -> EmbeddingClass:
     reduced = beta / Fraction(n) ** h0
     k, j = transitive_pair(reduced, l, n)
     m = 1
-    for p, _ in _prime_signature(n).primes:
+    for p, _ in _prime_signature(n):
         m *= p ** p_valuation(reduced, p)
     if m * j != n ** (l * k):
         raise AssertionError(
@@ -315,12 +317,13 @@ def enumerate_quotient(spec: EmbeddingSpec) -> tuple[QuotientEntry, ...]:
     scale = abs(classified.s)
     format_rational(scale * Fraction(n) ** (classified.h0 + spec.l - 1))
     entries = []
+    x_star = spec.imgB.tree.hyperbolic_fixed_point()  # reps: balls around it
     power = Fraction(n) ** classified.h0  # n**height, stepped by n
     for i in range(spec.l):
         height = classified.h0 + i
         entries.append(
             QuotientEntry(
-                rep=axis_vertex(spec.imgB.tree, height),
+                rep=TreeVertex.of(n, height, x_star),
                 min_translation=scale * power,
                 height=height,
                 fixed_order=1,
@@ -368,6 +371,8 @@ def straighten(
     classified = classify(spec)
     if depth < 1:
         raise InvalidParams("depth must be >= 1")
+    if window < 0:
+        raise InvalidParams(f"window must be >= 0, got {window}")
     n, l = spec.n, spec.l
     if classified.m != 1 or classified.h0 != 0:
         raise NotStraightenable(

@@ -16,6 +16,9 @@ Three kinds of maps act on it:
   Z/n**i per level i <= D.
 * ``PartialTreeMap`` -- a conjugator on a finite window around an axis,
   kept as integer rows from which its vertex pairs are built when read.
+
+A ``TruncatedNAdic`` is the translation amount eta of the level-wise
+translation by +eta.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import (
-    TruncatedNAdic,
     _fraction,
     _prime_signature,
     check_scaling,
@@ -172,7 +174,7 @@ class BallAffineMap:
         object.__setattr__(self, "beta", _fraction(self.beta))
         if not smooth_denominator(self.beta, self.n):
             raise InvalidParams(f"beta {self.beta} not in Z[1/{self.n}]")
-        for p, e in _prime_signature(self.n).primes:
+        for p, e in _prime_signature(self.n):
             if p_valuation(self.u, p) != self.h * e:
                 raise InvalidParams(
                     f"u = {self.u} does not scale balls by {self.n}^{self.h}: "
@@ -332,10 +334,7 @@ def axis_vertex(map_: BallAffineMap, at_height: int) -> TreeVertex:
     The axis is the coherent line through the fixed point x* of x -> u*x +
     beta; the vertex at height j is the ball of that height containing x*.
     """
-    x_star = map_.hyperbolic_fixed_point()
-    return TreeVertex(
-        map_.n, at_height, nadic_residue(x_star, at_height, map_.n)
-    )
+    return TreeVertex.of(map_.n, at_height, map_.hyperbolic_fixed_point())
 
 
 def is_transitive_on_up(map_: BallAffineMap, w: TreeVertex, level: int) -> bool:
@@ -491,6 +490,34 @@ def restrict_to_up(
         size = w.n**level
         perms.append(tuple((a * y + d) % size for y in range(size)))
     return LevelPermAutomorphism(w.n, tuple(perms))
+
+
+@dataclass(frozen=True)
+class TruncatedNAdic:
+    """Residue mod base**precision, standing in for an n-adic integer."""
+
+    base: int
+    precision: int
+    residue: int
+
+    def __post_init__(self):
+        _prime_signature(self.base)
+        if self.precision < 0:
+            raise InvalidParams("precision must be >= 0")
+        modulus = self.base**self.precision
+        if not 0 <= self.residue < modulus:
+            object.__setattr__(self, "residue", self.residue % modulus)
+
+    def residue_at(self, level: int) -> int:
+        """The residue mod base**level, for level <= precision."""
+        if not 0 <= level <= self.precision:
+            raise InvalidParams(
+                f"level {level} outside [0, {self.precision}]"
+            )
+        return self.residue % self.base**level
+
+    def __str__(self):
+        return f"{self.residue} mod {self.base}^{self.precision}"
 
 
 def levelwise_translation(eta: TruncatedNAdic) -> LevelPermAutomorphism:

@@ -17,7 +17,6 @@ import pytest
 
 from bslat.cli import main as cli_main
 from bslat.exactnum import (
-    TruncatedNAdic,
     integral_in_base,
     nadic_residue,
     smooth_divisors,
@@ -54,6 +53,7 @@ from bslat.lattice import (
 from bslat.tree import (
     BallAffineMap,
     TreeVertex,
+    TruncatedNAdic,
     levelwise_translation,
     restrict_to_up,
     translation_amount,

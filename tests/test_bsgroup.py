@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from bslat import bsgroup as bs
 from bslat.errors import BaseMismatch, InvalidGenerator, InvalidParams, ParseError
 from bslat.exactnum import is_ring_unit, smooth_denominator, smooth_divisors
+from bslat.frozen import Frozen
 
 
 def w(N, text):
@@ -141,6 +144,34 @@ class TestNormalize:
                         key = (inv.h, inv.c)
                         assert key not in seen, (seen[key], (x, y, z))
                         seen[key] = (x, y, z)
+
+
+class TestValueClasses:
+    # each keeps the repr text, value equality, hash and immutability of
+    # the frozen dataclass it replaced; the self-check messages print reprs
+    @pytest.mark.parametrize("make, text", [
+        (lambda: bs.BSWord(N=2, letters=(("a", 1), ("a", 2), ("b", -1))),
+         "BSWord(N=2, letters=(('a', 3), ('b', -1)))"),
+        (lambda: bs.AffineInvariant(3, -1, 2),
+         "AffineInvariant(N=3, h=-1, c=Fraction(2, 1))"),
+        (lambda: bs.BSNormalForm(2, 1, 3, 0),
+         "BSNormalForm(N=2, x=1, y=3, z=0)"),
+    ])
+    def test_behaves_as_a_frozen_dataclass(self, make, text):
+        value, twin = make(), make()
+        assert repr(value) == text
+        assert value == twin and hash(value) == hash(twin)
+        assert value != text and value != bs.BSWord(value.N)
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            value.N = 5
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            del value.N
+        assert value.N == twin.N
+
+    def test_a_value_class_has_two_or_more_fields(self):
+        with pytest.raises(TypeError, match="two or more fields"):
+            type("One", (Frozen,), {"__slots__": ("x",)})
 
 
 class TestMultiply:

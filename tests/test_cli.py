@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import ast
 import hashlib
 import json
 import os
@@ -541,6 +542,17 @@ class TestEmbed:
         # 5 heights of 3**5 window vertices, none of them built
         assert len(built) <= 20
 
+    def test_straighten_rejects_a_negative_window(self, capsys):
+        code, out, err = run(
+            [
+                "embed", "straighten", "--n", "2", "--l", "1", "--s", "1",
+                "--m", "1", "--depth", "3", "--window", "-1",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: window must be >= 0, got -1\n"
+
     def test_straighten_rejects_shifted_class(self, capsys):
         code, _, err = run(
             [
@@ -1043,41 +1055,53 @@ class TestHarness:
             assert first == second, argv
 
 
-# Runs main() once in a fresh interpreter, then prints its exit code and
-# the bslat modules it imported.
+# Runs main() once in a fresh interpreter, then prints its exit code, the
+# bslat modules it imported and which of HEAVY it imported.  The child
+# imports no json itself: argv comes as arguments and the answer as a repr.
 LOADED_CHILD = (
-    "import contextlib, io, json, sys\n"
+    "import contextlib, io, sys\n"
     "from bslat.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()), "
     "contextlib.redirect_stderr(io.StringIO()):\n"
-    "    code = main(json.loads(sys.argv[1]))\n"
-    "print(json.dumps([code, sorted(\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(repr([code, sorted(\n"
     "    name for name in sys.modules if name.startswith('bslat.')\n"
-    ")]))\n"
+    "), [name for name in HEAVY if name in sys.modules]]))\n"
 )
 
-WORD_LAYERS = ["bslat.bsgroup", "bslat.cli", "bslat.errors", "bslat.exactnum"]
+WORD_LAYERS = [
+    "bslat.bsgroup", "bslat.cli", "bslat.errors", "bslat.exactnum",
+    "bslat.frozen",
+]
 MODEL_SPACE = ["bslat.isometry", "bslat.lab", "bslat.lattice", "bslat.tree"]
+# standard modules the word layer and the CLI leave to the verbs that use
+# them: dataclasses pulls in inspect, and json is for --json output and
+# JSON input
+HEAVY = ("dataclasses", "inspect", "json")
 
 
 class TestLayerLoading:
-    """A bs verb, --help and a parse error load only the word layer; every
-    other verb group loads the four model-space layers, all of them, since
-    the traced benchmark looks each one up after its warm-up."""
+    """A bs verb, --help and a parse error load only the word layer, and
+    with human output none of dataclasses, inspect and json; every other
+    verb group loads the four model-space layers, all of them, since the
+    traced benchmark looks each one up after its warm-up.  A process builds
+    the grammar of its own verb group only, and answers every help and
+    parse error as a process that built all of them."""
 
     @staticmethod
     def loaded(argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         proc = subprocess.run(
-            [sys.executable, "-c", LOADED_CHILD, json.dumps(argv)],
+            [sys.executable, "-c", f"HEAVY = {HEAVY!r}\n" + LOADED_CHILD,
+             *argv],
             capture_output=True, text=True, timeout=60,
             env={**os.environ,
                  "PYTHONPATH": src + (os.pathsep + path if path else "")},
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        code, modules = json.loads(proc.stdout)
-        return code, modules
+        code, modules, heavy = ast.literal_eval(proc.stdout)
+        return code, modules, heavy
 
     @pytest.mark.parametrize("argv, code", [
         (["bs", "normalize", "--N", "2", "b^-1 a b"], 0),
@@ -1093,7 +1117,11 @@ class TestLayerLoading:
         (["nosuch"], 2),
     ])
     def test_word_layer_only(self, argv, code):
-        assert self.loaded(argv) == (code, WORD_LAYERS)
+        assert self.loaded(argv) == (code, WORD_LAYERS, [])
+
+    def test_json_output_loads_json(self):
+        argv = ["bs", "normalize", "--N", "2", "b^-1 a b", "--json"]
+        assert self.loaded(argv) == (0, WORD_LAYERS, ["json"])
 
     @pytest.mark.parametrize("argv", [
         ["tree", "act", "--n", "2", "--beta", "3", "--vertex", "2:1"],
@@ -1103,8 +1131,37 @@ class TestLayerLoading:
         ["lab", "count-hk", "--n", "2", "--k", "2"],
     ])
     def test_every_model_space_layer(self, argv):
-        assert self.loaded(argv) == (0, sorted(WORD_LAYERS + MODEL_SPACE))
+        code, modules, _ = self.loaded(argv)
+        assert (code, modules) == (0, sorted(WORD_LAYERS + MODEL_SPACE))
 
+    # one verb of each group, so that every group's verbs are built
+    EVERY_GROUP = [
+        ["bs", "invert", "--N", "2", "a b"],
+        ["tree", "act", "--n", "2", "--beta", "3", "--vertex", "2:1"],
+        ["embed", "validate", "--n", "2", "--l", "1", "--s", "1", "--m", "1"],
+        ["covol", "enumerate", "--n", "2", "--l", "1", "--s", "1", "--m", "1"],
+        ["present", "verify", "--case", "1", "--n", "2", "--l", "1"],
+        ["lab", "trans-search", "--n", "2", "--beta", "1"],
+    ]
+
+    def test_fresh_process_answers_as_one_with_every_group_built(self):
+        # VERBS, of the grammar fuzz below, lists every verb of every group
+        assert sorted({group for group, _ in VERBS}) == sorted(cli._GROUPS)
+        argvs = [["--help"]] + [[group, "--help"] for group in cli._GROUPS]
+        argvs += [[group, verb, "--help"] for group, verb in VERBS]
+        argvs += [
+            ["--json", "bs", "normalize", "--N", "2", "a"],
+            ["--", "bs", "normalize", "--N", "2", "a"],
+            ["bs"],
+            ["lab", "nosuch"],
+        ]
+        assert len(argvs) == 1 + 6 + 21 + 4
+        warm = run_batch(self.EVERY_GROUP + argvs)
+        assert [code for code, *_ in warm[:6]] == [0] * 6
+        for argv, (code, out, err, _) in zip(argvs, warm[6:]):
+            fresh = run_batch([argv])[0]
+            assert fresh[:3] == [code, out, err], argv
+            assert (code, out == "") in ((0, False), (2, True)), argv
 
 
 def _emit_line_by_line(result, as_json):
@@ -1125,6 +1182,18 @@ def _emit_line_by_line(result, as_json):
             for note in result.diagnostics:
                 print(f"error: {note}", file=sys.stderr)
     return cli._EXIT[result.status]
+
+
+def test_command_result_checks_its_status():
+    result = CommandResult("ok", {"n": 2})
+    assert repr(result) == (
+        "CommandResult(status='ok', payload={'n': 2}, diagnostics=())"
+    )
+    assert result == CommandResult("ok", {"n": 2}, ())
+    with pytest.raises(AttributeError):
+        result.status = "internal_error"
+    with pytest.raises(ValueError, match="unknown status 'done'"):
+        CommandResult("done", {})
 
 
 @pytest.mark.parametrize("as_json", [False, True])

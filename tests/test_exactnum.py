@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bslat import exactnum as xn
+from bslat.tree import TruncatedNAdic
 from bslat.errors import (
     InvalidParams,
     NotInvertible,
@@ -43,7 +44,7 @@ def power_quotient(j: int, k: int, n: int) -> int:
     return target // j
 
 
-def truncated_inverse(x, precision: int, n: int) -> xn.TruncatedNAdic:
+def truncated_inverse(x, precision: int, n: int) -> TruncatedNAdic:
     """Inverse of a Z_n-unit mod n**precision.
 
     x may be an int or a Fraction; it must be n-adically integral and a
@@ -55,7 +56,7 @@ def truncated_inverse(x, precision: int, n: int) -> xn.TruncatedNAdic:
     modulus = n**precision
     residue = xn.nadic_residue(value, precision, n)
     inv = pow(int(residue), -1, modulus) if modulus > 1 else 0
-    return xn.TruncatedNAdic(base=n, precision=precision, residue=inv)
+    return TruncatedNAdic(base=n, precision=precision, residue=inv)
 
 
 def naive_p_valuation(q: Fraction, p: int) -> int:
@@ -72,7 +73,7 @@ def naive_p_valuation(q: Fraction, p: int) -> int:
 
 
 def naive_coprime_part(x: int, n: int) -> int:
-    for p, _ in xn._prime_signature(n).primes:
+    for p, _ in xn._prime_signature(n):
         while x % p == 0:
             x //= p
     return x
@@ -102,7 +103,7 @@ def brute_transitive_pair(beta: Fraction, l: int, n: int):
 def naive_in_ball(q: Fraction, h: int, n: int) -> bool:
     # q in n^h Z_n iff q / n^h has, at every prime of n, no denominator part
     shifted = q / Fraction(n) ** h
-    primes = [p for p, _ in xn._prime_signature(n).primes]
+    primes = [p for p, _ in xn._prime_signature(n)]
     return all(naive_p_valuation(shifted, p) >= 0 for p in primes if shifted)
 
 
@@ -113,9 +114,9 @@ rationals = st.fractions(
 
 class TestPrimeSignature:
     def test_examples(self):
-        assert xn._prime_signature(12).primes == ((2, 2), (3, 1))
-        assert xn._prime_signature(2).primes == ((2, 1),)
-        assert xn._prime_signature(9).primes == ((3, 2),)
+        assert xn._prime_signature(12) == ((2, 2), (3, 1))
+        assert xn._prime_signature(2) == ((2, 1),)
+        assert xn._prime_signature(9) == ((3, 2),)
 
     def test_bad_base(self):
         with pytest.raises(InvalidParams):
@@ -127,13 +128,13 @@ class TestPrimeSignature:
         # factors as before; a cofactor needing a larger divisor is refused
         budget = xn.FACTOR_BUDGET
         assert budget == 10**6
-        assert xn._prime_signature(999983 * 1000003).primes == (
+        assert xn._prime_signature(999983 * 1000003) == (
             (999983, 1), (1000003, 1),
         )
-        assert xn._prime_signature(6 * 999983**2).primes == (
+        assert xn._prime_signature(6 * 999983**2) == (
             (2, 1), (3, 1), (999983, 2),
         )
-        assert xn._prime_signature(2**80 * 1000003).primes == (
+        assert xn._prime_signature(2**80 * 1000003) == (
             (2, 80), (1000003, 1),
         )
         for n in (1000003**2, 10**24 + 7, 2 * 1000003 * 1000033):
@@ -168,7 +169,7 @@ class TestValuation:
             (Fraction(12), 2, 2),
         ]
         for q, n, expected in cases:
-            sig = xn._prime_signature(n).primes
+            sig = xn._prime_signature(n)
             oracle = min(naive_p_valuation(q, p) // e for p, e in sig)
             assert oracle == expected
             assert xn.valuation_in_base(q, n) == expected
@@ -296,7 +297,7 @@ class TestExponentCore:
     )
     def test_budget_counts_the_search_candidates(self, monkeypatch, beta, l, n):
         pair = xn.transitive_pair(beta, l, n)
-        primes = xn._prime_signature(n).primes
+        primes = xn._prime_signature(n)
         spread = max(abs(xn.p_valuation(beta, p)) for p, _ in primes)
         literal = sum(
             len(xn.smooth_divisors(n, l * level + spread + 1))
@@ -396,7 +397,7 @@ class TestTruncatedInverse:
         assert xn.nadic_residue(Fraction(3, 5) * inv.residue, 4, 2) == 1
 
     def test_truncated_residue_levels(self):
-        t = xn.TruncatedNAdic(base=2, precision=3, residue=6)
+        t = TruncatedNAdic(base=2, precision=3, residue=6)
         assert [t.residue_at(i) for i in range(4)] == [0, 0, 2, 6]
         with pytest.raises(InvalidParams):
             t.residue_at(4)

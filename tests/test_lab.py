@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslat.errors import (
@@ -666,7 +666,7 @@ class TestCollapseLevel:
             [0]
             + [
                 -(-p_valuation(m, p) // e)
-                for p, e in _prime_signature(n).primes
+                for p, e in _prime_signature(n)
                 if m % p == 0
             ]
         )
@@ -856,3 +856,20 @@ class TestAbelianSearch:
     def test_large_input_is_skipped(self):
         tops = list(enumerate_level_group(3, 2).tops)
         assert _abelian_search_order(tops) is None
+
+    # up to 24 tops, far under the 125 at which count**3 passes
+    # 2 * SIZE_CAP, so every drawn subset also runs the triple step
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 1)]).flatmap(
+            lambda nk: st.lists(
+                st.sampled_from(enumerate_level_group(*nk).tops),
+                min_size=1, max_size=24, unique=True,
+            )
+        )
+    )
+    def test_matches_the_oracle_on_drawn_subsets(self, tops):
+        assert len(tops) ** 3 <= 2 * SIZE_CAP
+        assert _abelian_search_order(tops) == (
+            _rebuilt_abelian_search_order(tops)
+        )

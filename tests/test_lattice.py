@@ -605,6 +605,13 @@ class TestStraighten:
         with pytest.raises(InvalidParams):
             straighten(standard_embedding(2, 1, 1, 3), depth=0)
 
+    def test_window_validated(self):
+        # a negative window used to give an empty map
+        spec = standard_embedding(2, 1, 1, 1)
+        with pytest.raises(InvalidParams, match="window"):
+            straighten(spec, depth=3, window=-1)
+        assert len(straighten(spec, depth=3, window=0).pairs) == 8
+
 
 class TestPresentations:
     def test_case_validation(self):

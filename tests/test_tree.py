@@ -23,7 +23,6 @@ from bslat.errors import (
 )
 from bslat.exactnum import (
     INFINITY,
-    TruncatedNAdic,
     format_quotient,
     format_rational,
     nadic_residue,
@@ -37,6 +36,7 @@ from bslat.tree import (
     LevelPermAutomorphism,
     PartialTreeMap,
     TreeVertex,
+    TruncatedNAdic,
     act,
     act_inverse,
     act_power,
